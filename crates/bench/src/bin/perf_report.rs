@@ -4,7 +4,8 @@
 //! series on a single giant component, the chunked Euler orientation
 //! against the serial walk on a 1e6-edge even multigraph, and the sharded
 //! solve pipeline (graph-cut cells + boundary reconciliation) against the
-//! unsharded solve on a clustered giant.
+//! unsharded solve on a clustered giant, and bipartite drain solves (8k and
+//! 80k items) with their min/median/max spread.
 //!
 //! Run with `cargo run --release -p dmig-bench --bin perf_report`.
 //! Pass `--smoke` to shrink the instance sizes for a CI sanity run (the
@@ -49,6 +50,7 @@ use dmig_bench::corpus::{
     clustered_giant, giant_component_odd_delta, giant_even_multigraph, multi_component_even,
 };
 use dmig_bench::seed_baseline::solve_even_seed;
+use dmig_core::bipartite_opt::solve_bipartite;
 use dmig_core::even::solve_even;
 use dmig_core::parallel::{default_threads, solve_split};
 use dmig_core::shard::{solve_sharded, ShardConfig};
@@ -58,8 +60,8 @@ use dmig_flow::{quota_euler_splits, quota_flow_solves};
 use dmig_graph::euler::{euler_orientation, euler_orientation_parallel, OrientScratch};
 use dmig_workloads::{capacities, random};
 
-/// Median-of-`reps` wall time in milliseconds.
-fn time_ms<F: FnMut() -> u64>(reps: usize, mut f: F) -> f64 {
+/// Min, median and max of `reps` wall times, in milliseconds.
+fn time_spread_ms<F: FnMut() -> u64>(reps: usize, mut f: F) -> (f64, f64, f64) {
     let mut samples: Vec<f64> = (0..reps)
         .map(|_| {
             let start = Instant::now();
@@ -70,7 +72,16 @@ fn time_ms<F: FnMut() -> u64>(reps: usize, mut f: F) -> f64 {
         })
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    samples[samples.len() / 2]
+    (
+        samples[0],
+        samples[samples.len() / 2],
+        samples[samples.len() - 1],
+    )
+}
+
+/// Median-of-`reps` wall time in milliseconds.
+fn time_ms<F: FnMut() -> u64>(reps: usize, f: F) -> f64 {
+    time_spread_ms(reps, f).1
 }
 
 fn even_instance(n: usize, seed: u64) -> MigrationProblem {
@@ -694,6 +705,34 @@ fn main() {
         top.map_or(0.0, |r| r.utilization)
     );
     let _ = writeln!(json, "    \"attribute_ms\": {attribute_ms:.3}");
+    let _ = writeln!(json, "  }},");
+
+    // Part 5: bipartite disk drains, the paper's motivating case, solved
+    // on one thread by the quota kernel. Each instance is `dmig generate
+    // remove N GONE ITEMS 3 --seed 7`; both stay full size under --smoke
+    // (reps drop to 1) since the 80k drain solves in well under a second.
+    // The gate checks rounds == Δ' for each.
+    let _ = writeln!(json, "  \"bipartite_drain\": {{");
+    hardware_threads_line(&mut json, threads);
+    let drains = [
+        ("drain_8k", 120usize, 10usize, 8_000usize),
+        ("drain_80k", 1_200, 100, 80_000),
+    ];
+    for (i, &(name, disks, drained, items)) in drains.iter().enumerate() {
+        let g = dmig_workloads::disk_ops::disk_removal(disks, drained, items, 7);
+        let problem = MigrationProblem::uniform(g, 3).expect("drain instance is valid");
+        let solve = || solve_split(&problem, 1, solve_bipartite).expect("drain is bipartite");
+        let rounds = solve().makespan();
+        let (min_ms, median_ms, max_ms) = time_spread_ms(reps, || solve().makespan() as u64);
+        let comma = if i + 1 == drains.len() { "" } else { "," };
+        let _ = writeln!(
+            json,
+            "    \"{name}\": {{\"disks\": {disks}, \"drained\": {drained}, \"items\": {items}, \
+             \"capacity\": 3, \"delta_prime\": {}, \"rounds\": {rounds}, \
+             \"min_ms\": {min_ms:.3}, \"median_ms\": {median_ms:.3}, \"max_ms\": {max_ms:.3}}}{comma}",
+            problem.delta_prime()
+        );
+    }
     let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
 

@@ -1,6 +1,6 @@
 //! End-to-end tests of the actual `dmig` binary.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn dmig(args: &[&str]) -> (i32, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_dmig"))
@@ -54,4 +54,21 @@ fn generate_pipe_solve_roundtrip() {
     assert_eq!(code, 0);
     assert!(sim.contains("wall-clock time 8.000"), "{sim}");
     std::fs::remove_file(std::path::Path::new(&path)).ok();
+}
+
+#[test]
+fn closed_stdout_exits_quietly() {
+    // `dmig generate … | head -0`: the reader is gone before the first
+    // write, so the write fails with a broken pipe.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dmig"))
+        .args(["generate", "uniform", "50", "20000", "2", "4"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(stderr.is_empty(), "stderr: {stderr}");
 }

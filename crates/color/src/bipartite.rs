@@ -2,15 +2,19 @@
 //!
 //! A bipartite multigraph has chromatic index exactly `Δ`. Constructively:
 //! regularize the graph (equal sides, every degree exactly `Δ` after adding
-//! dummy edges), then peel off `Δ` perfect matchings, each extracted as an
-//! exact degree-constrained subgraph with `dmig-flow` (all quotas 1). A
-//! perfect matching always exists in a `Δ`-regular bipartite multigraph by
-//! Hall's theorem, so each peel succeeds.
+//! dummy edges), orient every edge left → right, and split the arcs into
+//! `Δ` rounds with one out-arc per left node and one in-arc per right node
+//! — `Δ` perfect matchings — by one call to the quota kernel
+//! [`quota_round_partition`] (all quotas 1, `rounds = Δ`). The kernel
+//! halves even round counts by Euler splits and runs max flow only at the
+//! `O(log Δ)` odd levels. Round `k` is color `k`.
 //!
 //! In migration terms this is the optimal scheduler for *reconfiguration*
-//! workloads, whose transfer graphs (old layout → new layout) are bipartite.
+//! workloads, whose transfer graphs (old layout → new layout) are bipartite;
+//! `dmig-core`'s capacitated bipartite solver runs the same kernel with
+//! quotas `⌈load/Δ'⌉ ≤ c_v` instead of 1.
 
-use dmig_flow::exact_degree_subgraph;
+use dmig_flow::quota_round_partition;
 use dmig_graph::{bipartite::bipartition, EdgeId, GraphError, Multigraph};
 
 use crate::EdgeColoring;
@@ -48,33 +52,31 @@ pub fn bipartite_coloring(g: &Multigraph) -> Result<EdgeColoring, GraphError> {
     // Map graph nodes to per-side dense indices.
     let n = g.num_nodes();
     let mut side_index = vec![usize::MAX; n];
-    let mut left = Vec::new();
-    let mut right = Vec::new();
+    let (mut num_left, mut num_right) = (0usize, 0usize);
     for v in g.nodes() {
-        if sides.is_left(v) {
-            side_index[v.index()] = left.len();
-            left.push(v);
+        let count = if sides.is_left(v) {
+            &mut num_left
         } else {
-            side_index[v.index()] = right.len();
-            right.push(v);
-        }
+            &mut num_right
+        };
+        side_index[v.index()] = *count;
+        *count += 1;
     }
-    let s = left.len().max(right.len());
+    let s = num_left.max(num_right);
 
-    // Regularize: `arcs` lists left-index → right-index pairs; entry i of
-    // `origin` remembers which original edge (if any) the arc represents.
-    let mut arcs: Vec<(usize, usize)> = Vec::new();
-    let mut origin: Vec<Option<EdgeId>> = Vec::new();
+    // Regularize: `arcs` lists left-index → right-index pairs, the graph's
+    // edges first (arc position i < m is edge i), then dummy arcs. Kernel
+    // node layout: left nodes are 0..s, right nodes s..2s.
+    let mut arcs: Vec<(usize, usize)> = Vec::with_capacity(s * delta);
     let mut left_deg = vec![0usize; s];
     let mut right_deg = vec![0usize; s];
-    for (e, ep) in g.edges() {
+    for (_, ep) in g.edges() {
         let (l, r) = if sides.is_left(ep.u) {
             (side_index[ep.u.index()], side_index[ep.v.index()])
         } else {
             (side_index[ep.v.index()], side_index[ep.u.index()])
         };
-        arcs.push((l, r));
-        origin.push(Some(e));
+        arcs.push((l, s + r));
         left_deg[l] += 1;
         right_deg[r] += 1;
     }
@@ -92,43 +94,26 @@ pub fn bipartite_coloring(g: &Multigraph) -> Result<EdgeColoring, GraphError> {
         if l_cursor == s || r_cursor == s {
             break;
         }
-        arcs.push((l_cursor, r_cursor));
-        origin.push(None);
+        arcs.push((l_cursor, s + r_cursor));
         left_deg[l_cursor] += 1;
         right_deg[r_cursor] += 1;
     }
     debug_assert!(left_deg.iter().all(|&d| d == delta));
     debug_assert!(right_deg.iter().all(|&d| d == delta));
 
-    // Peel Δ perfect matchings. Node layout for the flow step: left nodes
-    // are 0..s, right nodes s..2s.
-    let mut alive: Vec<usize> = (0..arcs.len()).collect();
-    for color in 0..delta {
-        let current: Vec<(usize, usize)> =
-            alive.iter().map(|&i| (arcs[i].0, arcs[i].1 + s)).collect();
-        let mut out_quota = vec![0u32; 2 * s];
-        let mut in_quota = vec![0u32; 2 * s];
-        for q in out_quota.iter_mut().take(s) {
-            *q = 1;
+    // Split into Δ perfect matchings: per round, one out-arc at each left
+    // node and one in-arc at each right node.
+    let quota_out: Vec<u32> = (0..2 * s).map(|v| u32::from(v < s)).collect();
+    let quota_in: Vec<u32> = (0..2 * s).map(|v| u32::from(v >= s)).collect();
+    let matchings = quota_round_partition(2 * s, &arcs, &quota_out, &quota_in, delta)
+        .expect("a Δ-regular bipartite multigraph splits into Δ perfect matchings");
+    let m = g.num_edges();
+    for (color, matching) in matchings.iter().enumerate() {
+        let color = u32::try_from(color).expect("color id overflow");
+        for &pos in matching.iter().filter(|&&pos| pos < m) {
+            coloring.set(EdgeId::new(pos), color);
         }
-        for q in in_quota.iter_mut().skip(s) {
-            *q = 1;
-        }
-        let selection = exact_degree_subgraph(2 * s, &current, &out_quota, &in_quota)
-            .expect("a Δ-regular bipartite multigraph has a perfect matching");
-        let mut rest = Vec::with_capacity(alive.len() - s);
-        for (pos, &arc_idx) in alive.iter().enumerate() {
-            if selection[pos] {
-                if let Some(e) = origin[arc_idx] {
-                    coloring.set(e, u32::try_from(color).expect("color id overflow"));
-                }
-            } else {
-                rest.push(arc_idx);
-            }
-        }
-        alive = rest;
     }
-    debug_assert!(alive.is_empty());
     debug_assert!(coloring.is_complete());
     coloring.compact();
     Ok(coloring)

@@ -17,8 +17,8 @@
 //!   color-budget escalation; empirically lands at `Δ` or `Δ+μ`, well
 //!   inside Shannon's `⌊3Δ/2⌋` envelope.
 //! * [`bipartite::bipartite_coloring`] — exactly `Δ` colors on bipartite
-//!   multigraphs (König), via regularization + repeated perfect matchings
-//!   extracted with `dmig-flow`.
+//!   multigraphs (König), via regularization and one `dmig-flow` quota
+//!   round partition into `Δ` perfect matchings.
 //!
 //! All colorers produce an [`EdgeColoring`], which can be validated against
 //! any graph with [`EdgeColoring::validate_proper`].

@@ -33,7 +33,9 @@
 //! * [`greedy_rounds`] — first-fit maximal round packing, a natural
 //!   systems baseline.
 //! * [`bipartite_opt`] — exact optimum for bipartite transfer graphs
-//!   (reconfiguration workloads) via node splitting + König coloring.
+//!   (reconfiguration workloads): next-fit bins of disks with quotas
+//!   `⌈load/Δ'⌉ ≤ c_v`, padding, and one call to the quota kernel shared
+//!   with [`even`].
 //! * [`exact`] — branch-and-bound exact optimum for small instances,
 //!   certifying the heuristic solvers' optimality gaps.
 //! * [`orbits`] — diagnostic classification of partial colorings into the

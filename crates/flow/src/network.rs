@@ -202,24 +202,6 @@ impl FlowNetwork {
         }
     }
 
-    /// Sets the capacity of an existing edge, zeroing its flow.
-    ///
-    /// The topology (and therefore the CSR index) is untouched — only the
-    /// capacity changes. Setting a capacity to 0 disables the edge for all
-    /// later [`FlowNetwork::max_flow`]/[`FlowNetwork::reset`] cycles, which
-    /// is how the peeling extractor removes the arcs selected in one round
-    /// from every later round without rebuilding the network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle is out of range or `cap < 0`.
-    pub fn set_capacity(&mut self, handle: EdgeHandle, cap: i64) {
-        assert!(cap >= 0, "flow capacity must be non-negative");
-        self.original_cap[handle.0] = cap;
-        self.arc_cap[2 * handle.0] = cap;
-        self.arc_cap[2 * handle.0 + 1] = 0;
-    }
-
     /// Remaining residual capacity on the forward arc of `handle`.
     #[inline]
     #[must_use]

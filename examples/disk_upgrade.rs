@@ -2,7 +2,7 @@
 //!
 //! A search-engine cluster adds four disks; data rebalances from the 24
 //! old disks onto the new ones. The transfer graph is bipartite
-//! (old → new), so the capacitated König solver schedules it *optimally*
+//! (old → new), so the bipartite-optimal solver schedules it *optimally*
 //! for any mix of transfer constraints. Run with:
 //!
 //! ```text

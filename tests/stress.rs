@@ -41,6 +41,43 @@ fn bipartite_solver_at_scale() {
 }
 
 #[test]
+fn bipartite_drain_80k_items() {
+    // `dmig generate remove 1200 100 80000 3 --seed 7`: 100 of 1 200 disks
+    // drained, Δ' = 287.
+    let g = disk_ops::disk_removal(1_200, 100, 80_000, 7);
+    let p = MigrationProblem::uniform(g, 3).unwrap();
+    let s = BipartiteOptimalSolver.solve(&p).unwrap();
+    s.validate(&p).unwrap();
+    assert_eq!(s.makespan(), p.delta_prime());
+    assert_eq!(s.makespan(), 287);
+}
+
+#[test]
+fn bipartite_huge_odd_capacity() {
+    // One transfer between two disks of odd capacity 10⁸+1: time and
+    // memory must follow the instance, not c_v.
+    let g = GraphBuilder::new().edge(0, 1).build();
+    let p = MigrationProblem::uniform(g, 100_000_001).unwrap();
+    for solver in [&AutoSolver as &dyn Solver, &BipartiteOptimalSolver] {
+        let s = solver.solve(&p).unwrap();
+        s.validate(&p).unwrap();
+        assert_eq!(s.makespan(), 1);
+    }
+}
+
+#[test]
+fn bipartite_star_drain() {
+    // One drained disk with c = 1 feeding 1 000 survivors: Δ' = 10 000
+    // while each survivor holds ~10 items, so padding every survivor to
+    // Δ' on its own would take ~10⁷ arcs.
+    let g = disk_ops::disk_removal(1_001, 1, 10_000, 3);
+    let p = MigrationProblem::uniform(g, 1).unwrap();
+    let s = BipartiteOptimalSolver.solve(&p).unwrap();
+    s.validate(&p).unwrap();
+    assert_eq!(s.makespan(), 10_000);
+}
+
+#[test]
 fn simulation_at_scale() {
     let g = random::uniform_multigraph(100, 6_000, 17);
     let p = MigrationProblem::new(g, capacities::random_even(100, 3, 17)).unwrap();
