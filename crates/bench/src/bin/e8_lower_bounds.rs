@@ -50,8 +50,10 @@ fn main() {
 
     for (label, p) in &cases {
         let d = bounds::lb1(p);
-        let gamma = bounds::lb2(p);
-        let gamma2 = bounds::lb3(p);
+        // One min-cut per instance: Γ'' starts from the same witness.
+        let witness = bounds::lb2_witness(p);
+        let gamma = witness.as_ref().map_or(0, |w| w.bound);
+        let gamma2 = bounds::lb3_with_witness(p, witness.as_ref());
         if p.num_disks() <= 18 {
             assert_eq!(
                 gamma,
@@ -63,7 +65,8 @@ fn main() {
         let report = solve_general(p);
         report.schedule.validate(p).expect("feasible");
         let achieved = report.schedule.makespan();
-        let sharp = bounds::lower_bound_sharp(p);
+        // `lower_bound_sharp`, without a second min-cut.
+        let sharp = d.max(gamma2);
         assert!(achieved >= sharp, "Γ'' must stay a valid lower bound");
         t.row_owned(vec![
             label.clone(),

@@ -520,11 +520,12 @@ impl ObsRequest {
 }
 
 /// Sets the per-solve summary gauges on the live recorder so gate rules
-/// can compare round counts against the paper's lower bounds.
+/// can compare round counts against the paper's lower bound. `Γ' ≤ Δ'`
+/// always, so `solve.lb1` is that bound; `solve.lb2` is published only by
+/// `--explain`, which computes the `Γ'` witness anyway.
 fn record_solve_gauges(problem: &MigrationProblem, rounds: usize) {
     dmig_obs::gauge_set(dmig_obs::keys::SOLVE_ROUNDS, rounds as u64);
     dmig_obs::gauge_set(dmig_obs::keys::SOLVE_LB1, bounds::lb1(problem) as u64);
-    dmig_obs::gauge_set(dmig_obs::keys::SOLVE_LB2, bounds::lb2(problem) as u64);
 }
 
 fn cmd_solve(args: &[String]) -> Result<String, String> {
@@ -559,29 +560,49 @@ fn cmd_solve(args: &[String]) -> Result<String, String> {
             return Err(e.to_string());
         }
     };
-    let wall = started.elapsed();
     if obs.active() {
         record_solve_gauges(&problem, schedule.makespan());
     }
+    let lower_bound = {
+        let _span = dmig_obs::span("cli.bounds");
+        bounds::lower_bound(&problem)
+    };
+    let valid = {
+        let _span = dmig_obs::span("cli.validate");
+        schedule.validate(&problem)
+    };
+    if let Err(e) = valid {
+        obs.abandon();
+        return Err(format!("internal: invalid schedule: {e}"));
+    }
+    let out = {
+        let _span = dmig_obs::span("cli.render");
+        render_schedule(&problem, &schedule, solver.inner().name(), lower_bound)
+    };
     obs.finish(&RunContext {
         source: "cli-solve",
         threads,
         instance_text: &text,
-        wall,
+        wall: started.elapsed(),
         disks: Vec::new(),
     })?;
-    schedule
-        .validate(&problem)
-        .map_err(|e| format!("internal: invalid schedule: {e}"))?;
+    Ok(out)
+}
 
+/// `dmig solve`'s stdout: the instance line, the round count against the
+/// lower bound, then one line per round listing its transfers.
+fn render_schedule(
+    problem: &MigrationProblem,
+    schedule: &dmig_core::MigrationSchedule,
+    solver: &str,
+    lower_bound: usize,
+) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{problem}");
     let _ = writeln!(
         out,
-        "solver {}: {} rounds (lower bound {})",
-        solver.inner().name(),
-        schedule.makespan(),
-        bounds::lower_bound(&problem)
+        "solver {solver}: {} rounds (lower bound {lower_bound})",
+        schedule.makespan()
     );
     let g = problem.graph();
     for (i, round) in schedule.rounds().iter().enumerate() {
@@ -594,7 +615,7 @@ fn cmd_solve(args: &[String]) -> Result<String, String> {
             .collect();
         let _ = writeln!(out, "round {i}: {}", items.join(" "));
     }
-    Ok(out)
+    out
 }
 
 fn cmd_bounds(args: &[String]) -> Result<String, String> {
@@ -735,8 +756,10 @@ fn explain_input(
 }
 
 /// Publishes the attribution summary gauges so gate rules can check the
-/// binding bound against the solver's `solve.lb1`/`solve.lb2`.
+/// binding bound against the solver's `solve.lb1`/`solve.lb2`. `solve.lb2`
+/// comes from the `Γ'` witness the attribution already holds.
 fn record_explain_gauges(attr: &dmig_obs::explain::Attribution) {
+    dmig_obs::gauge_set(dmig_obs::keys::SOLVE_LB2, attr.lb2);
     dmig_obs::gauge_set(dmig_obs::keys::EXPLAIN_BINDING_BOUND, attr.binding_bound);
     if let Some(d) = attr.lb1_disk {
         dmig_obs::gauge_set(dmig_obs::keys::EXPLAIN_LB1_DISK, d as u64);

@@ -10,6 +10,9 @@
 //! `x ↦ ⌈2x⌉` is nondecreasing, so the densest subset also maximizes the
 //! ceiled bound. An exponential reference implementation is provided for
 //! cross-checking on small instances.
+//!
+//! `Γ' ≤ Δ'` on every instance, so [`lower_bound`] is `Δ'` in `O(n)`;
+//! the min-cut only runs where `Γ'` or its witness is itself wanted.
 
 use dmig_flow::max_density_subgraph;
 use dmig_graph::NodeId;
@@ -46,11 +49,12 @@ pub struct GammaWitness {
 /// use dmig_core::{bounds, MigrationProblem};
 /// use dmig_graph::builder::complete_multigraph;
 ///
-/// // K3 with unit capacities: Γ' = ⌈2·3 / 3⌉ = 2 > 1 = ... Δ' is 2 as
-/// // well here; on odd structures Γ' can exceed Δ' (see tests).
+/// // K3 with unit capacities: Γ' = ⌈2·3 / 3⌉ = 2 = Δ'. Γ' never exceeds
+/// // Δ' (see `lower_bound`); on odd structures both fall short of OPT = 3.
 /// let p = MigrationProblem::uniform(complete_multigraph(3, 1), 1)?;
 /// let w = bounds::lb2_witness(&p).unwrap();
 /// assert_eq!(w.bound, 2);
+/// assert_eq!(w.bound, bounds::lb1(&p));
 /// # Ok::<(), dmig_core::ProblemError>(())
 /// ```
 #[must_use]
@@ -80,10 +84,16 @@ pub fn lb2(problem: &MigrationProblem) -> usize {
     lb2_witness(problem).map_or(0, |w| w.bound)
 }
 
-/// The combined lower bound `max(Δ', Γ')` the paper measures against.
+/// The combined lower bound `max(Δ', Γ')` the paper measures against,
+/// in `O(n)`: it is always `Δ'`.
+///
+/// For every subset `S`, each internal edge counts once at both of its
+/// endpoints and `d_v ≤ Δ'·c_v`, so `2|E(S)| ≤ Σ_S d_v ≤ Δ'·Σ_S c_v`;
+/// hence `⌈2|E(S)| / Σ_S c_v⌉ ≤ Δ'` and `Γ' ≤ Δ'`. Call [`lb2`] or
+/// [`lb2_witness`] when `Γ'` itself is wanted.
 #[must_use]
 pub fn lower_bound(problem: &MigrationProblem) -> usize {
-    lb1(problem).max(lb2(problem))
+    lb1(problem)
 }
 
 /// The **integral sharpening** `Γ'' = max_S ⌈|E(S)| / ⌊Σ_{v∈S} c_v / 2⌋⌉`
@@ -105,6 +115,14 @@ pub fn lower_bound(problem: &MigrationProblem) -> usize {
 /// small enough for [`lb3_bruteforce`] the tests compare the two.
 #[must_use]
 pub fn lb3(problem: &MigrationProblem) -> usize {
+    lb3_with_witness(problem, lb2_witness(problem).as_ref())
+}
+
+/// [`lb3`] seeded with an already computed `Γ'` witness (the result of
+/// [`lb2_witness`] on the same instance), so a caller that reports both
+/// `Γ'` and `Γ''` runs the min-cut once.
+#[must_use]
+pub fn lb3_with_witness(problem: &MigrationProblem, witness: Option<&GammaWitness>) -> usize {
     let g = problem.graph();
     if g.num_edges() == 0 {
         return 0;
@@ -116,7 +134,7 @@ pub fn lb3(problem: &MigrationProblem) -> usize {
     };
 
     // Candidate 1: the exact Γ' witness and its single-node perturbations.
-    if let Some(w) = lb2_witness(problem) {
+    if let Some(w) = witness {
         let mut base = vec![false; n];
         for v in &w.nodes {
             base[v.index()] = true;
@@ -204,7 +222,8 @@ pub fn lb3_bruteforce(problem: &MigrationProblem) -> usize {
     best
 }
 
-/// The sharpest lower bound available: `max(Δ', Γ', Γ'')`.
+/// The sharpest lower bound available: `max(Δ', Γ', Γ'')`. `Γ'` enters
+/// only as the witness [`lb3`] starts from, since `Γ' ≤ Δ'`.
 #[must_use]
 pub fn lower_bound_sharp(problem: &MigrationProblem) -> usize {
     lower_bound(problem).max(lb3(problem))

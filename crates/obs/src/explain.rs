@@ -94,7 +94,9 @@ impl Default for DiskLoad {
 pub enum Binding {
     /// `Δ' > Γ'`: a single disk's per-round work governs.
     Lb1,
-    /// `Γ' > Δ'`: a dense subgraph governs.
+    /// `Γ' > Δ'`: a dense subgraph governs. No real instance yields this,
+    /// since `Γ' ≤ Δ'` always (`dmig_core::bounds::lower_bound`); it
+    /// remains only for hand-built [`ExplainInput`]s.
     Lb2,
     /// `Δ' = Γ' > 0`.
     Tie,

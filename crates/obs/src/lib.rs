@@ -163,7 +163,8 @@ pub mod keys {
     pub const SOLVE_ROUNDS: &str = "solve.rounds";
     /// Lower bound `Δ'` (LB1) of the solved instance (gauge).
     pub const SOLVE_LB1: &str = "solve.lb1";
-    /// Lower bound `Γ'` (LB2) of the solved instance (gauge).
+    /// Lower bound `Γ'` (LB2) of the solved instance, set only with
+    /// `--explain` (gauge).
     pub const SOLVE_LB2: &str = "solve.lb2";
     /// Closed-loop replans performed by the fault-tolerant executor
     /// (counter).
@@ -388,7 +389,7 @@ pub fn keys_reference() -> Vec<(&'static str, &'static str)> {
         ),
         (
             keys::SOLVE_LB2,
-            "Lower bound Γ' (LB2) of the solved instance (gauge).",
+            "Lower bound Γ' (LB2) of the solved instance, set only with --explain (gauge).",
         ),
         (
             keys::EXEC_REPLANS,

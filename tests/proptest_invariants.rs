@@ -30,8 +30,52 @@ fn build_problem(n: usize, edges: &[(usize, usize)], caps: &[u32]) -> MigrationP
     MigrationProblem::new(g, Capacities::from_vec(caps.to_vec())).expect("loop-free, caps ≥ 1")
 }
 
+/// Strategy for the lower-bound oracle: up to 60 disks, past
+/// `lb2_bruteforce`'s limit of 20. The first `n` disks carry the items in
+/// one of three shapes (`0`: any loop-free multigraph, `1`: a bipartite
+/// drain from the first `n/4` disks onto the rest, `2`: no items), then
+/// up to 10 isolated disks trail. A capacity is small with mixed parity
+/// (1..=6), or, when `huge` is set, odd up to 10⁶ with one chance in four.
+fn oracle_strategy() -> impl Strategy<Value = MigrationProblem> {
+    (2usize..50, 0usize..11, 0u8..3, proptest::bool::ANY).prop_flat_map(|(n, tail, shape, huge)| {
+        let edges = proptest::collection::vec((0..n, 0..n - 1), 0..240);
+        let caps = proptest::collection::vec((0u32..500_000, 0u8..4), n + tail);
+        (edges, caps).prop_map(move |(raw, raw_caps)| {
+            let sources = (n / 4).max(1);
+            let mut g = Multigraph::with_nodes(n + tail);
+            for (u, v) in raw {
+                let (src, dst) = match shape {
+                    0 => (u, if v >= u { v + 1 } else { v }),
+                    1 => (u % sources, sources + v % (n - sources)),
+                    _ => continue,
+                };
+                g.add_edge(src.into(), dst.into());
+            }
+            let caps = raw_caps
+                .into_iter()
+                .map(|(x, pick)| {
+                    if huge && pick == 0 {
+                        2 * x + 1
+                    } else {
+                        x % 6 + 1
+                    }
+                })
+                .collect();
+            MigrationProblem::new(g, Capacities::from_vec(caps)).expect("loop-free, caps ≥ 1")
+        })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The O(n) `lower_bound` is exactly `max(Δ', Γ')`, with the exact
+    /// flow-based `Γ'` as the oracle.
+    #[test]
+    fn lower_bound_matches_flow_oracle(p in oracle_strategy()) {
+        let gamma = bounds::lb2(&p);
+        prop_assert_eq!(bounds::lower_bound(&p), bounds::lb1(&p).max(gamma));
+    }
 
     /// Every solver produces a feasible schedule meeting the lower bound.
     #[test]
