@@ -13,11 +13,9 @@
 use dmig_bench::table::Table;
 use dmig_core::solver::{GeneralSolver, HomogeneousSolver, Solver};
 use dmig_core::{bounds, MigrationProblem};
-use dmig_graph::NodeId;
-use dmig_sim::events::{simulate_with_events, BandwidthEvent};
 use dmig_sim::{
     engine::{simulate_adaptive, simulate_rounds},
-    Cluster,
+    execute, Cluster, ExecutorConfig, FaultPlan,
 };
 use dmig_workloads::trace::{parse_trace, to_trace_text, Trace};
 use dmig_workloads::{capacities, random};
@@ -53,21 +51,27 @@ fn main() {
         let p = MigrationProblem::new(trace.graph, caps).expect("valid");
         let lb = bounds::lower_bound(&p);
         let cluster = Cluster::uniform(nn, 1.0).with_item_sizes(trace.sizes.clone());
-        // Disk 0 (the power-law hot spot) degrades halfway through.
-        let events = [BandwidthEvent {
-            time: lb as f64,
-            disk: NodeId::new(0),
-            bandwidth: 0.5,
-        }];
+        // Disk 0 (the power-law hot spot) drops to half its bandwidth at
+        // t = LB and stays there.
+        let slowdown = format!("[[degrade]]\ndisk = 0\ntime = {lb}\nfactor = 0.5\n");
+        let slowdown = FaultPlan::parse_checked(&slowdown, nn).expect("valid plan");
 
         for solver in [&GeneralSolver::default() as &dyn Solver, &HomogeneousSolver] {
             let s = solver.solve(&p).expect("infallible");
             s.validate(&p).expect("feasible");
             let barrier = simulate_rounds(&p, &s, &cluster).expect("ok").total_time;
             let adaptive = simulate_adaptive(&p, &s, &cluster).expect("ok").total_time;
-            let degraded = simulate_with_events(&p, &s, &cluster, &events)
-                .expect("ok")
-                .total_time;
+            let degraded = execute(
+                &p,
+                &s,
+                &cluster,
+                &slowdown,
+                &ExecutorConfig::default(),
+                solver,
+            )
+            .expect("ok")
+            .sim
+            .total_time;
             assert!(adaptive <= barrier + 1e-9);
             assert!(degraded >= adaptive - 1e-9);
             t.row_owned(vec![

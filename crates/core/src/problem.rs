@@ -63,7 +63,6 @@ impl std::error::Error for ProblemError {}
 /// assert_eq!(caps.min(), Some(2));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Capacities {
     values: Vec<u32>,
 }

@@ -19,8 +19,6 @@ use core::fmt;
 /// assert_eq!(format!("{v}"), "v3");
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -78,8 +76,6 @@ impl fmt::Display for NodeId {
 /// assert_eq!(format!("{e}"), "e7");
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct EdgeId(u32);
 
 impl EdgeId {

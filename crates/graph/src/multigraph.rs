@@ -9,7 +9,6 @@ use crate::{EdgeId, GraphError, NodeId};
 /// For a self-loop both endpoints are equal. `Endpoints` is deliberately a
 /// plain data carrier with public fields.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Endpoints {
     /// First endpoint (the *source* disk of the data item, where relevant).
     pub u: NodeId,
@@ -87,7 +86,6 @@ impl fmt::Display for Endpoints {
 /// let _ = e2;
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Multigraph {
     edges: Vec<Endpoints>,
     /// Incidence lists: for each node, the ids of incident edges.

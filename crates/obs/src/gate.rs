@@ -33,6 +33,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::conf::{ConfError, Entry};
+
 /// A parsed rule file.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RuleFile {
@@ -393,90 +395,60 @@ fn comparison_detail(
         .map(|v| format!("`{expr}` = {v}"))
 }
 
-/// Parses a rule file in the TOML subset this crate understands:
-/// `[[rule]]` array-of-tables, `key = value` pairs with string, number,
-/// and boolean values, `#` comments, blank lines. Unknown keys error (a
-/// typoed `exprr` must not silently disable a gate).
+/// Parses a rule file in the TOML subset read by [`crate::conf`]:
+/// `[[rule]]` array-of-tables, `key = value` pairs with string and number
+/// values, `#` comments, blank lines. Unknown keys error (a typoed `exprr`
+/// must not silently disable a gate).
 ///
 /// # Errors
 ///
-/// Returns `line-number: message` for the first offending line.
+/// Returns `line N: message` for the first offending line.
 pub fn parse_rules(text: &str) -> Result<RuleFile, String> {
+    read_rules(text).map_err(|e| e.to_string())
+}
+
+fn read_rules(text: &str) -> Result<RuleFile, ConfError> {
+    let number = |e: &Entry| {
+        e.number()
+            .map_err(|_| e.error(format!("`{}` needs a numeric value", e.key)))
+    };
+    let string = |e: &Entry| {
+        e.quoted()
+            .ok_or_else(|| e.error(format!("`{}` needs a quoted string value", e.key)))
+    };
+    let doc = crate::conf::read(text)?;
     let mut file = RuleFile {
         rules: Vec::new(),
         default_tolerance: 1e-9,
     };
-    let mut in_rule = false;
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = strip_comment(raw).trim().to_string();
-        if line.is_empty() {
-            continue;
-        }
-        let err = |msg: &str| format!("line {}: {msg}", lineno + 1);
-        if line == "[[rule]]" {
-            file.rules.push(Rule::default());
-            in_rule = true;
-            continue;
-        }
-        if line.starts_with('[') {
-            return Err(err(&format!("unsupported table `{line}`")));
-        }
-        let (key, value) = line
-            .split_once('=')
-            .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
-            .ok_or_else(|| err("expected `key = value`"))?;
-        let string_val = || -> Result<String, String> {
-            let v = value.as_str();
-            if v.len() >= 2 && v.starts_with('"') && v.ends_with('"') {
-                Ok(v[1..v.len() - 1]
-                    .replace("\\\"", "\"")
-                    .replace("\\\\", "\\"))
-            } else {
-                Err(err(&format!("`{key}` needs a quoted string value")))
-            }
-        };
-        let number_val = || -> Result<f64, String> {
-            value
-                .parse::<f64>()
-                .map_err(|_| err(&format!("`{key}` needs a numeric value")))
-        };
-        if !in_rule {
-            match key.as_str() {
-                "default_tolerance" => file.default_tolerance = number_val()?,
-                other => return Err(err(&format!("unknown top-level key `{other}`"))),
-            }
-            continue;
-        }
-        let rule = file.rules.last_mut().expect("in_rule implies a rule");
-        match key.as_str() {
-            "name" => rule.name = string_val()?,
-            "expr" => rule.expr = string_val()?,
-            "when" => rule.when = Some(string_val()?),
-            "tolerance" => rule.tolerance = Some(number_val()?),
-            other => return Err(err(&format!("unknown rule key `{other}`"))),
+    for e in &doc.top.entries {
+        match e.key.as_str() {
+            "default_tolerance" => file.default_tolerance = number(e)?,
+            other => return Err(e.error(format!("unknown top-level key `{other}`"))),
         }
     }
-    for (i, rule) in file.rules.iter().enumerate() {
+    for t in &doc.tables {
+        if !(t.array && t.name == "rule") {
+            return Err(t.error(format!("unsupported table `{}`", t.header())));
+        }
+        let mut rule = Rule::default();
+        for e in &t.entries {
+            match e.key.as_str() {
+                "name" => rule.name = string(e)?,
+                "expr" => rule.expr = string(e)?,
+                "when" => rule.when = Some(string(e)?),
+                "tolerance" => rule.tolerance = Some(number(e)?),
+                other => return Err(e.error(format!("unknown rule key `{other}`"))),
+            }
+        }
+        file.rules.push(rule);
+    }
+    for (i, (rule, t)) in file.rules.iter().zip(&doc.tables).enumerate() {
         if rule.expr.is_empty() {
-            return Err(format!("rule {} has no `expr`", i + 1));
+            return Err(t.error(format!("rule {} has no `expr`", i + 1)));
         }
     }
     Ok(file)
-}
-
-/// Drops a `#` comment, respecting `"…"` strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    let mut prev_backslash = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' if !prev_backslash => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
-        }
-        prev_backslash = c == '\\' && !prev_backslash;
-    }
-    line
 }
 
 // ---------------------------------------------------------------------------
@@ -848,13 +820,48 @@ tolerance = 0.5
         assert_eq!(f.rules[0].when.as_deref(), Some("hardware_threads >= 4"));
         assert_eq!(f.rules[1].name, "");
         assert_eq!(f.rules[2].tolerance, Some(0.5));
-        assert!(parse_rules("[[rule]]\n").unwrap_err().contains("no `expr`"));
         assert!(parse_rules("[section]\n")
             .unwrap_err()
             .contains("unsupported"));
         assert!(parse_rules("[[rule]]\nexprr = \"1\"\n")
             .unwrap_err()
             .contains("unknown rule key"));
+        // A `#` inside a quoted value is part of the value.
+        let f = parse_rules("[[rule]]\nname = \"rule #1\" # note\nexpr = \"1\"\n").unwrap();
+        assert_eq!(f.rules[0].name, "rule #1");
+    }
+
+    #[test]
+    fn rule_file_errors_carry_line_numbers() {
+        for (text, want) in [
+            ("[[rule]]\n", "line 1: rule 1 has no `expr`"),
+            (
+                "[[rule]]\nexpr = \"1\"\n\n[[rule]]\nname = \"x\"\n",
+                "line 4: rule 2 has no `expr`",
+            ),
+            ("\n[section]\n", "line 2: unsupported table `[section]`"),
+            (
+                "[[rule]]\nexprr = \"1\"\n",
+                "line 2: unknown rule key `exprr`",
+            ),
+            ("bogus = 1\n", "line 1: unknown top-level key `bogus`"),
+            (
+                "default_tolerance = tiny\n",
+                "line 1: `default_tolerance` needs a numeric value",
+            ),
+            (
+                "[[rule]]\nexpr = 1\n",
+                "line 2: `expr` needs a quoted string value",
+            ),
+            (
+                "[[rule]]\nexpr\n",
+                "line 2: expected `key = value`, got `expr`",
+            ),
+            ("[[rule]\n", "line 1: unsupported table `[[rule]`"),
+            ("[[rule\n", "line 1: malformed table header `[[rule`"),
+        ] {
+            assert_eq!(parse_rules(text).unwrap_err(), want, "{text:?}");
+        }
     }
 
     #[test]
@@ -943,11 +950,5 @@ tolerance = 0.5
             &report.outcomes[0].status,
             RuleStatus::Skipped(m) if m.contains("ghost_field")
         ));
-    }
-
-    #[test]
-    fn strip_comment_respects_strings() {
-        assert_eq!(strip_comment("a = 1 # note"), "a = 1 ");
-        assert_eq!(strip_comment("a = \"x # y\""), "a = \"x # y\"");
     }
 }

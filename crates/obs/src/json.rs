@@ -1,8 +1,7 @@
 //! Minimal JSON emission helpers.
 //!
-//! The workspace has no crates.io access and the vendored `serde` is a
-//! no-op marker subset, so every JSON producer in-tree writes its output by
-//! hand. These helpers centralize the two error-prone parts — string
+//! The workspace has no crates.io access and no serialization framework,
+//! so every JSON producer in-tree writes its output by hand. These helpers centralize the two error-prone parts — string
 //! escaping and float formatting — so snapshots, reports, and benchmarks
 //! all emit valid JSON the same way.
 

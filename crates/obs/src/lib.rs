@@ -39,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod conf;
 pub mod diff;
 pub mod events;
 pub mod explain;

@@ -21,27 +21,6 @@ pub enum SimError {
         /// Disks in the problem.
         problem: usize,
     },
-    /// A bandwidth event referenced a disk outside the cluster.
-    EventDiskOutOfRange {
-        /// The referenced disk.
-        disk: dmig_graph::NodeId,
-        /// Number of disks in the cluster.
-        disks: usize,
-    },
-    /// A bandwidth event carried a negative/non-finite time or rate.
-    MalformedEvent {
-        /// The event time.
-        time: f64,
-        /// The event bandwidth.
-        bandwidth: f64,
-    },
-    /// Execution deadlocked: every remaining transfer sits at rate zero
-    /// (an endpoint at bandwidth 0) with no future bandwidth event that
-    /// could revive it.
-    Deadlocked {
-        /// Simulation clock at the deadlock.
-        time: f64,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -50,25 +29,6 @@ impl fmt::Display for SimError {
             SimError::InfeasibleSchedule(e) => write!(f, "infeasible schedule: {e}"),
             SimError::ClusterSizeMismatch { cluster, problem } => {
                 write!(f, "cluster has {cluster} disks but problem has {problem}")
-            }
-            SimError::EventDiskOutOfRange { disk, disks } => {
-                write!(
-                    f,
-                    "bandwidth event for disk {disk} but cluster has {disks} disks"
-                )
-            }
-            SimError::MalformedEvent { time, bandwidth } => {
-                write!(
-                    f,
-                    "malformed bandwidth event (time {time}, bandwidth {bandwidth})"
-                )
-            }
-            SimError::Deadlocked { time } => {
-                write!(
-                    f,
-                    "deadlock at t={time}: remaining transfers are stuck at \
-                     bandwidth 0 with no recovery event"
-                )
             }
         }
     }
@@ -92,17 +52,24 @@ pub(crate) fn record_sim_round(ticker: &mut RoundTicker, transfers: usize) {
     ticker.round_done(transfers);
 }
 
-fn check_inputs(
-    problem: &MigrationProblem,
-    schedule: &MigrationSchedule,
-    cluster: &Cluster,
-) -> Result<(), SimError> {
+/// Rejects a cluster model sized for a different problem.
+pub(crate) fn check_cluster(problem: &MigrationProblem, cluster: &Cluster) -> Result<(), SimError> {
     if cluster.num_disks() != problem.num_disks() {
         return Err(SimError::ClusterSizeMismatch {
             cluster: cluster.num_disks(),
             problem: problem.num_disks(),
         });
     }
+    Ok(())
+}
+
+/// The input checks every engine runs first, the executor included.
+pub(crate) fn check_inputs(
+    problem: &MigrationProblem,
+    schedule: &MigrationSchedule,
+    cluster: &Cluster,
+) -> Result<(), SimError> {
+    check_cluster(problem, cluster)?;
     schedule
         .validate(problem)
         .map_err(SimError::InfeasibleSchedule)
@@ -126,12 +93,12 @@ pub fn simulate_rounds(
     let _span = dmig_obs::span_labeled("simulate_rounds", || {
         format!("rounds={}", schedule.makespan())
     });
-    let g = problem.graph();
-    let n = g.num_nodes();
+    let n = problem.num_disks();
     let mut round_durations = Vec::with_capacity(schedule.makespan());
     let mut disk_busy = vec![0.0f64; n];
     let mut volume = 0.0f64;
     let mut concurrency = vec![0usize; n];
+    let mut finish_at = vec![0.0f64; n];
     let mut ticker = RoundTicker::new(schedule.makespan());
     let mut base = 0.0f64;
 
@@ -141,25 +108,14 @@ pub fn simulate_rounds(
             transfers: round.len() as u64,
             time: base,
         });
-        concurrency.iter_mut().for_each(|k| *k = 0);
-        for &e in round {
-            let ep = g.endpoints(e);
-            concurrency[ep.u.index()] += 1;
-            concurrency[ep.v.index()] += 1;
-        }
-        let mut round_time = 0.0f64;
-        let mut finish_at = vec![0.0f64; n];
-        for &e in round {
-            let ep = g.endpoints(e);
-            let share_u = cluster.bandwidth(ep.u) / concurrency[ep.u.index()] as f64;
-            let share_v = cluster.bandwidth(ep.v) / concurrency[ep.v.index()] as f64;
-            let size = cluster.item_size(e);
-            let t = size / share_u.min(share_v);
-            volume += size;
-            round_time = round_time.max(t);
-            finish_at[ep.u.index()] = finish_at[ep.u.index()].max(t);
-            finish_at[ep.v.index()] = finish_at[ep.v.index()].max(t);
-        }
+        let round_time = run_round(
+            problem,
+            cluster,
+            round,
+            &mut concurrency,
+            &mut finish_at,
+            &mut volume,
+        );
         for v in 0..n {
             disk_busy[v] += finish_at[v];
         }
@@ -181,12 +137,50 @@ pub fn simulate_rounds(
     })
 }
 
+/// One round of the paper's round model, the kernel of both
+/// [`simulate_rounds`] and [`round_profile`]: each disk splits its
+/// bandwidth evenly across its transfers for the whole round, and a
+/// transfer runs at the slower of its two endpoint shares. Leaves each
+/// disk's busy time in `finish_at` (0 for disks outside the round), adds
+/// every item's size to `volume` in round order, and returns the round's
+/// duration. `concurrency` and `finish_at` are `num_disks` long scratch.
+fn run_round(
+    problem: &MigrationProblem,
+    cluster: &Cluster,
+    round: &[EdgeId],
+    concurrency: &mut [usize],
+    finish_at: &mut [f64],
+    volume: &mut f64,
+) -> f64 {
+    let g = problem.graph();
+    concurrency.fill(0);
+    finish_at.fill(0.0);
+    for &e in round {
+        let ep = g.endpoints(e);
+        concurrency[ep.u.index()] += 1;
+        concurrency[ep.v.index()] += 1;
+    }
+    let mut round_time = 0.0f64;
+    for &e in round {
+        let ep = g.endpoints(e);
+        let share_u = cluster.bandwidth(ep.u) / concurrency[ep.u.index()] as f64;
+        let share_v = cluster.bandwidth(ep.v) / concurrency[ep.v.index()] as f64;
+        let size = cluster.item_size(e);
+        let t = size / share_u.min(share_v);
+        *volume += size;
+        round_time = round_time.max(t);
+        finish_at[ep.u.index()] = finish_at[ep.u.index()].max(t);
+        finish_at[ep.v.index()] = finish_at[ep.v.index()].max(t);
+    }
+    round_time
+}
+
 /// Replays the round model of [`simulate_rounds`] and returns, for every
 /// round, its duration plus the sparse per-disk busy times — the input the
 /// attribution engine ([`dmig_obs::explain::attribute`]) needs to find the
 /// binding chain. Emits no events and records no metrics: it is a pure
-/// analysis pass over the same arithmetic as the simulator, so the round
-/// durations match a [`SimReport`] from `simulate_rounds` exactly.
+/// analysis pass over the same per-round kernel as the simulator, so the
+/// round durations match a [`SimReport`] from `simulate_rounds` exactly.
 ///
 /// # Errors
 ///
@@ -198,36 +192,25 @@ pub fn round_profile(
     cluster: &Cluster,
 ) -> Result<Vec<dmig_obs::explain::RoundLoad>, SimError> {
     check_inputs(problem, schedule, cluster)?;
-    let g = problem.graph();
-    let n = g.num_nodes();
+    let n = problem.num_disks();
     let mut concurrency = vec![0usize; n];
+    let mut finish_at = vec![0.0f64; n];
+    let mut volume = 0.0f64;
     let mut rounds = Vec::with_capacity(schedule.makespan());
     for round in schedule.rounds() {
-        concurrency.iter_mut().for_each(|k| *k = 0);
-        for &e in round {
-            let ep = g.endpoints(e);
-            concurrency[ep.u.index()] += 1;
-            concurrency[ep.v.index()] += 1;
-        }
-        let mut round_time = 0.0f64;
-        let mut finish_at = vec![0.0f64; n];
-        for &e in round {
-            let ep = g.endpoints(e);
-            let share_u = cluster.bandwidth(ep.u) / concurrency[ep.u.index()] as f64;
-            let share_v = cluster.bandwidth(ep.v) / concurrency[ep.v.index()] as f64;
-            let t = cluster.item_size(e) / share_u.min(share_v);
-            round_time = round_time.max(t);
-            finish_at[ep.u.index()] = finish_at[ep.u.index()].max(t);
-            finish_at[ep.v.index()] = finish_at[ep.v.index()].max(t);
-        }
+        let duration = run_round(
+            problem,
+            cluster,
+            round,
+            &mut concurrency,
+            &mut finish_at,
+            &mut volume,
+        );
         let busy: Vec<(usize, f64)> = (0..n)
             .filter(|&v| finish_at[v] > 0.0)
             .map(|v| (v, finish_at[v]))
             .collect();
-        rounds.push(dmig_obs::explain::RoundLoad {
-            duration: round_time,
-            busy,
-        });
+        rounds.push(dmig_obs::explain::RoundLoad { duration, busy });
     }
     Ok(rounds)
 }

@@ -53,7 +53,7 @@ use dmig_obs::events::{emit, Event};
 use dmig_obs::keys;
 use dmig_obs::Value;
 
-use crate::engine::{record_sim_round, SimError};
+use crate::engine::{check_cluster, check_inputs, record_sim_round, SimError};
 use crate::faults::{attempt_fails, FaultAction, FaultEvent, FaultPlan, FaultPlanError};
 use crate::progress::{RoundTicker, StallDetector, STALL_FACTOR};
 use crate::{Cluster, SimReport};
@@ -392,15 +392,7 @@ fn validate_inputs(
     cluster: &Cluster,
     faults: &FaultPlan,
 ) -> Result<(), ExecError> {
-    if cluster.num_disks() != problem.num_disks() {
-        return Err(ExecError::Sim(SimError::ClusterSizeMismatch {
-            cluster: cluster.num_disks(),
-            problem: problem.num_disks(),
-        }));
-    }
-    schedule
-        .validate(problem)
-        .map_err(|e| ExecError::Sim(SimError::InfeasibleSchedule(e)))?;
+    check_inputs(problem, schedule, cluster)?;
     faults.validate(problem.num_disks())?;
     Ok(())
 }
@@ -1135,12 +1127,7 @@ impl<'a> Executor<'a> {
         solver: &'a dyn Solver,
         checkpoint: &str,
     ) -> Result<Executor<'a>, ExecError> {
-        if cluster.num_disks() != problem.num_disks() {
-            return Err(ExecError::Sim(SimError::ClusterSizeMismatch {
-                cluster: cluster.num_disks(),
-                problem: problem.num_disks(),
-            }));
-        }
+        check_cluster(problem, cluster)?;
         faults.validate(problem.num_disks())?;
         let doc = Value::parse(checkpoint.trim())
             .map_err(|e| ck_err(format!("unparseable checkpoint: {e}")))?;
@@ -1689,6 +1676,79 @@ mod tests {
         assert!(r.degraded_rounds >= 1, "{r}");
         // Degradation onset and recovery each change the degraded set.
         assert!(r.replans >= 2, "{r}");
+    }
+
+    /// Degrade-only plans under the default (open-loop) config, against
+    /// closed-form totals: bandwidth changes integrate piecewise inside a
+    /// transfer, and the timeline's canonical order settles same-instant
+    /// changes regardless of declaration order.
+    #[test]
+    fn degradations_stretch_transfers_by_closed_forms() {
+        let degrade = |disk: usize, time: f64, factor: f64, recover_at: Option<f64>| DegradeFault {
+            disk: NodeId::new(disk),
+            time,
+            factor,
+            recover_at,
+        };
+        let one_item = || GraphBuilder::new().edge(0, 1).build();
+        // Two sequential rounds through disk 1 at c = 1.
+        let chain = || GraphBuilder::new().edge(0, 1).edge(1, 2).build();
+        let idle_spare = || GraphBuilder::new().nodes(4).edge(0, 1).build();
+        let cases = [
+            // Half the item moves at rate 1, the other half at 0.5.
+            (one_item(), vec![degrade(0, 0.5, 0.5, None)], 1.5),
+            // Rate 1 for 0.25, 0.5 for 0.5, then back to the initial 1.
+            (one_item(), vec![degrade(0, 0.25, 0.5, Some(0.75))], 1.25),
+            // Round 1 takes 1.0; round 2 runs wholly at 0.25.
+            (chain(), vec![degrade(1, 1.0, 0.25, None)], 5.0),
+            // The slowdown lasts 0.5 (moves 0.125), then full speed.
+            (
+                chain(),
+                vec![degrade(1, 1.0, 0.25, Some(1.5))],
+                1.0 + 0.5 + 0.875,
+            ),
+            // Same instant, same disk: the larger factor applies last and
+            // wins, in either declaration order.
+            (
+                one_item(),
+                vec![degrade(0, 0.5, 0.5, None), degrade(0, 0.5, 0.25, None)],
+                1.5,
+            ),
+            (
+                one_item(),
+                vec![degrade(0, 0.5, 0.25, None), degrade(0, 0.5, 0.5, None)],
+                1.5,
+            ),
+            // After the last transfer: ignored.
+            (chain(), vec![degrade(0, 100.0, 0.1, None)], 2.0),
+            // On a disk no transfer touches: harmless.
+            (idle_spare(), vec![degrade(3, 0.5, 0.01, None)], 1.0),
+        ];
+        for (g, degradations, want) in cases {
+            let p = MigrationProblem::uniform(g, 1).unwrap();
+            let s = AutoSolver.solve(&p).unwrap();
+            let faults = FaultPlan {
+                degradations,
+                ..FaultPlan::default()
+            };
+            let cluster = Cluster::uniform(p.num_disks(), 1.0);
+            let r = execute(
+                &p,
+                &s,
+                &cluster,
+                &faults,
+                &ExecutorConfig::default(),
+                &AutoSolver,
+            )
+            .unwrap();
+            assert!(
+                (r.sim.total_time - want).abs() < 1e-9,
+                "{:?}: got {}, want {want}",
+                faults.degradations,
+                r.sim.total_time
+            );
+            assert_eq!(r.delivered(), p.num_items());
+        }
     }
 
     #[test]

@@ -15,13 +15,14 @@
 //!   `(seed, item, attempt)` so the same plan always fails the same
 //!   attempts.
 //!
-//! Plans parse from a small TOML subset (`key = value` lines, `[flaky]`,
-//! `[[crash]]` and `[[degrade]]` tables — the same shape as
-//! `ci-rules.toml`) and compile to a timeline of events sorted by
+//! Plans parse from the TOML subset that [`dmig_obs::conf`] reads (a
+//! top-level `seed`, `[[crash]]` and `[[degrade]]` tables and a `[flaky]`
+//! table) and compile to a timeline of events sorted by
 //! `(time, kind, disk)`, so same-timestamp events apply in one canonical
 //! order no matter how the file lists them.
 
 use dmig_graph::NodeId;
+use dmig_obs::conf::{self, ConfError, Entry, Table};
 
 /// A crash-stop disk failure: the disk's bandwidth drops to zero at
 /// `time` and never recovers.
@@ -116,326 +117,131 @@ impl std::fmt::Display for FaultPlanError {
 
 impl std::error::Error for FaultPlanError {}
 
-/// The section the parser is currently filling.
-enum Section {
-    Top,
-    Crash,
-    Degrade,
-    Flaky,
+impl From<ConfError> for FaultPlanError {
+    fn from(e: ConfError) -> Self {
+        FaultPlanError::Parse {
+            line: e.line,
+            message: e.message,
+        }
+    }
 }
 
-fn parse_number(line: usize, key: &str, raw: &str) -> Result<f64, FaultPlanError> {
-    raw.parse::<f64>().map_err(|_| FaultPlanError::Parse {
-        line,
-        message: format!("{key}: expected a number, got `{raw}`"),
+/// The header line of every table a parsed plan came from, so
+/// [`FaultPlan::check`] can blame the table that broke a rule.
+#[derive(Default)]
+struct TableLines {
+    crashes: Vec<usize>,
+    degradations: Vec<usize>,
+    flaky: usize,
+}
+
+fn unknown_key(e: &Entry) -> ConfError {
+    e.error(format!("unknown key `{}` in this table", e.key))
+}
+
+fn read_disk(e: &Entry) -> Result<NodeId, ConfError> {
+    e.parse("a disk index").map(NodeId::new)
+}
+
+fn need<T>(t: &Table, value: Option<T>, key: &str) -> Result<T, ConfError> {
+    value.ok_or_else(|| t.error(format!("{} needs `{key}`", t.header())))
+}
+
+fn read_crash(t: &Table) -> Result<CrashFault, ConfError> {
+    let (mut disk, mut time, mut replacement) = (None, None, None);
+    for e in &t.entries {
+        match e.key.as_str() {
+            "disk" => disk = Some(read_disk(e)?),
+            "time" => time = Some(e.number()?),
+            "replacement" => replacement = Some(read_disk(e)?),
+            _ => return Err(unknown_key(e)),
+        }
+    }
+    Ok(CrashFault {
+        disk: need(t, disk, "disk")?,
+        time: need(t, time, "time")?,
+        replacement,
     })
 }
 
-fn parse_disk(line: usize, key: &str, raw: &str) -> Result<NodeId, FaultPlanError> {
-    raw.parse::<usize>()
-        .map(NodeId::new)
-        .map_err(|_| FaultPlanError::Parse {
-            line,
-            message: format!("{key}: expected a disk index, got `{raw}`"),
-        })
+fn read_degrade(t: &Table) -> Result<DegradeFault, ConfError> {
+    let (mut disk, mut time, mut factor, mut recover_at) = (None, None, None, None);
+    for e in &t.entries {
+        match e.key.as_str() {
+            "disk" => disk = Some(read_disk(e)?),
+            "time" => time = Some(e.number()?),
+            "factor" => factor = Some(e.number()?),
+            "recover_at" => recover_at = Some(e.number()?),
+            _ => return Err(unknown_key(e)),
+        }
+    }
+    Ok(DegradeFault {
+        disk: need(t, disk, "disk")?,
+        time: need(t, time, "time")?,
+        factor: need(t, factor, "factor")?,
+        recover_at,
+    })
+}
+
+fn read_flaky(t: &Table) -> Result<FlakySpec, ConfError> {
+    let mut probability = None;
+    for e in &t.entries {
+        match e.key.as_str() {
+            "probability" => probability = Some(e.number()?),
+            _ => return Err(unknown_key(e)),
+        }
+    }
+    Ok(FlakySpec {
+        probability: need(t, probability, "probability")?,
+    })
 }
 
 impl FaultPlan {
-    /// Parses a plan from the TOML subset described at module level.
+    /// Parses a plan from the TOML subset described at module level and
+    /// validates it against a cluster of `num_disks` disks, attributing
+    /// every semantic error to the 1-based line of the table that caused
+    /// it — the error a CLI should show when a fault plan references disks
+    /// the instance does not have.
     ///
     /// # Errors
     ///
-    /// Returns [`FaultPlanError::Parse`] with a line number on malformed
-    /// input, and [`FaultPlanError::Invalid`] when a table is missing a
-    /// required key or carries an out-of-range value.
-    pub fn parse(text: &str) -> Result<FaultPlan, FaultPlanError> {
-        let mut plan = FaultPlan::default();
-        let mut section = Section::Top;
-        // Partially built current table; flushed on section change / EOF.
-        let mut disk: Option<NodeId> = None;
-        let mut time: Option<f64> = None;
-        let mut replacement: Option<NodeId> = None;
-        let mut factor: Option<f64> = None;
-        let mut recover_at: Option<f64> = None;
-        let mut probability: Option<f64> = None;
-        let flush = |section: &Section,
-                     plan: &mut FaultPlan,
-                     disk: &mut Option<NodeId>,
-                     time: &mut Option<f64>,
-                     replacement: &mut Option<NodeId>,
-                     factor: &mut Option<f64>,
-                     recover_at: &mut Option<f64>,
-                     probability: &mut Option<f64>|
-         -> Result<(), FaultPlanError> {
-            match section {
-                Section::Top => {}
-                Section::Crash => {
-                    plan.crashes.push(CrashFault {
-                        disk: disk.take().ok_or_else(|| {
-                            FaultPlanError::Invalid("[[crash]] needs `disk`".into())
-                        })?,
-                        time: time.take().ok_or_else(|| {
-                            FaultPlanError::Invalid("[[crash]] needs `time`".into())
-                        })?,
-                        replacement: replacement.take(),
-                    });
-                }
-                Section::Degrade => {
-                    plan.degradations.push(DegradeFault {
-                        disk: disk.take().ok_or_else(|| {
-                            FaultPlanError::Invalid("[[degrade]] needs `disk`".into())
-                        })?,
-                        time: time.take().ok_or_else(|| {
-                            FaultPlanError::Invalid("[[degrade]] needs `time`".into())
-                        })?,
-                        factor: factor.take().ok_or_else(|| {
-                            FaultPlanError::Invalid("[[degrade]] needs `factor`".into())
-                        })?,
-                        recover_at: recover_at.take(),
-                    });
-                }
-                Section::Flaky => {
-                    plan.flaky = Some(FlakySpec {
-                        probability: probability.take().ok_or_else(|| {
-                            FaultPlanError::Invalid("[flaky] needs `probability`".into())
-                        })?,
-                    });
-                }
-            }
-            *disk = None;
-            *time = None;
-            *replacement = None;
-            *factor = None;
-            *recover_at = None;
-            *probability = None;
-            Ok(())
-        };
-
-        for (i, raw) in text.lines().enumerate() {
-            let lineno = i + 1;
-            let line = raw.split('#').next().unwrap_or_default().trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(header) = line.strip_prefix("[[").and_then(|s| s.strip_suffix("]]")) {
-                flush(
-                    &section,
-                    &mut plan,
-                    &mut disk,
-                    &mut time,
-                    &mut replacement,
-                    &mut factor,
-                    &mut recover_at,
-                    &mut probability,
-                )?;
-                section = match header.trim() {
-                    "crash" => Section::Crash,
-                    "degrade" => Section::Degrade,
-                    other => {
-                        return Err(FaultPlanError::Parse {
-                            line: lineno,
-                            message: format!("unknown table `[[{other}]]`"),
-                        })
-                    }
-                };
-                continue;
-            }
-            if let Some(header) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-                flush(
-                    &section,
-                    &mut plan,
-                    &mut disk,
-                    &mut time,
-                    &mut replacement,
-                    &mut factor,
-                    &mut recover_at,
-                    &mut probability,
-                )?;
-                section = match header.trim() {
-                    "flaky" => Section::Flaky,
-                    other => {
-                        return Err(FaultPlanError::Parse {
-                            line: lineno,
-                            message: format!("unknown table `[{other}]`"),
-                        })
-                    }
-                };
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(FaultPlanError::Parse {
-                    line: lineno,
-                    message: format!("expected `key = value`, got `{line}`"),
-                });
-            };
-            let (key, value) = (key.trim(), value.trim());
-            match (&section, key) {
-                (Section::Top, "seed") => {
-                    plan.seed = value.parse().map_err(|_| FaultPlanError::Parse {
-                        line: lineno,
-                        message: format!("seed: expected an integer, got `{value}`"),
-                    })?;
-                }
-                (Section::Crash | Section::Degrade, "disk") => {
-                    disk = Some(parse_disk(lineno, key, value)?);
-                }
-                (Section::Crash | Section::Degrade, "time") => {
-                    time = Some(parse_number(lineno, key, value)?);
-                }
-                (Section::Crash, "replacement") => {
-                    replacement = Some(parse_disk(lineno, key, value)?);
-                }
-                (Section::Degrade, "factor") => {
-                    factor = Some(parse_number(lineno, key, value)?);
-                }
-                (Section::Degrade, "recover_at") => {
-                    recover_at = Some(parse_number(lineno, key, value)?);
-                }
-                (Section::Flaky, "probability") => {
-                    probability = Some(parse_number(lineno, key, value)?);
-                }
-                _ => {
-                    return Err(FaultPlanError::Parse {
-                        line: lineno,
-                        message: format!("unknown key `{key}` in this table"),
-                    });
-                }
-            }
-        }
-        flush(
-            &section,
-            &mut plan,
-            &mut disk,
-            &mut time,
-            &mut replacement,
-            &mut factor,
-            &mut recover_at,
-            &mut probability,
-        )?;
+    /// Returns [`FaultPlanError::Parse`] with the offending line for
+    /// malformed input, a table missing a required key, and every
+    /// violation [`FaultPlan::validate`] reports.
+    pub fn parse_checked(text: &str, num_disks: usize) -> Result<FaultPlan, FaultPlanError> {
+        let (plan, lines) = FaultPlan::read(text)?;
+        plan.check(num_disks, Some(&lines))?;
         Ok(plan)
     }
 
-    /// Parses *and* validates against a cluster of `num_disks` disks,
-    /// attributing every semantic error to the 1-based line of the table
-    /// that caused it — the error a CLI should show when a fault plan
-    /// references disks the instance does not have.
-    ///
-    /// Accepts exactly the plans that [`FaultPlan::parse`] followed by
-    /// [`FaultPlan::validate`] accepts (pinned by a unit test); only the
-    /// error presentation differs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaultPlanError::Parse`] with the offending line for both
-    /// malformed input and semantic violations.
-    pub fn parse_checked(text: &str, num_disks: usize) -> Result<FaultPlan, FaultPlanError> {
-        let plan = FaultPlan::parse(text)?;
-        // Map each table back to the line of its header. `parse` accepted
-        // the text, so headers appear exactly once per parsed entity, in
-        // order.
-        let mut crash_lines = Vec::new();
-        let mut degrade_lines = Vec::new();
-        let mut flaky_line = 0usize;
-        for (i, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or_default().trim();
-            if let Some(h) = line.strip_prefix("[[").and_then(|s| s.strip_suffix("]]")) {
-                match h.trim() {
-                    "crash" => crash_lines.push(i + 1),
-                    "degrade" => degrade_lines.push(i + 1),
-                    _ => {}
-                }
-            } else if let Some(h) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-                if h.trim() == "flaky" {
-                    flaky_line = i + 1;
-                }
+    fn read(text: &str) -> Result<(FaultPlan, TableLines), ConfError> {
+        let doc = conf::read(text)?;
+        let mut plan = FaultPlan::default();
+        let mut lines = TableLines::default();
+        for e in &doc.top.entries {
+            match e.key.as_str() {
+                "seed" => plan.seed = e.parse("an integer")?,
+                _ => return Err(unknown_key(e)),
             }
         }
-        let at = |line: usize, message: String| FaultPlanError::Parse { line, message };
-        let line_of = |lines: &[usize], i: usize| lines.get(i).copied().unwrap_or(0);
-        // Same checks as `validate`, re-run per table for attribution.
-        let mut crashed = vec![false; num_disks];
-        for (i, c) in plan.crashes.iter().enumerate() {
-            let line = line_of(&crash_lines, i);
-            if c.disk.index() >= num_disks {
-                return Err(at(
-                    line,
-                    format!(
-                        "crash disk {} out of range (cluster has {num_disks} disks)",
-                        c.disk
-                    ),
-                ));
-            }
-            if !c.time.is_finite() || c.time < 0.0 {
-                return Err(at(line, format!("crash time {} invalid", c.time)));
-            }
-            if crashed[c.disk.index()] {
-                return Err(at(line, format!("disk {} crashes twice", c.disk)));
-            }
-            crashed[c.disk.index()] = true;
-        }
-        for (i, c) in plan.crashes.iter().enumerate() {
-            let line = line_of(&crash_lines, i);
-            if let Some(r) = c.replacement {
-                if r.index() >= num_disks {
-                    return Err(at(
-                        line,
-                        format!(
-                            "replacement disk {r} out of range (cluster has {num_disks} disks)"
-                        ),
-                    ));
+        for t in &doc.tables {
+            match (t.array, t.name.as_str()) {
+                (true, "crash") => {
+                    plan.crashes.push(read_crash(t)?);
+                    lines.crashes.push(t.line);
                 }
-                if crashed[r.index()] {
-                    return Err(at(
-                        line,
-                        format!("replacement {r} for disk {} is itself crashed", c.disk),
-                    ));
+                (true, "degrade") => {
+                    plan.degradations.push(read_degrade(t)?);
+                    lines.degradations.push(t.line);
                 }
+                (false, "flaky") => {
+                    plan.flaky = Some(read_flaky(t)?);
+                    lines.flaky = t.line;
+                }
+                _ => return Err(t.error(format!("unknown table `{}`", t.header()))),
             }
         }
-        for (i, d) in plan.degradations.iter().enumerate() {
-            let line = line_of(&degrade_lines, i);
-            if d.disk.index() >= num_disks {
-                return Err(at(
-                    line,
-                    format!(
-                        "degrade disk {} out of range (cluster has {num_disks} disks)",
-                        d.disk
-                    ),
-                ));
-            }
-            if !d.time.is_finite() || d.time < 0.0 {
-                return Err(at(line, format!("degrade time {} invalid", d.time)));
-            }
-            if !(d.factor > 0.0 && d.factor < 1.0 && d.factor.is_finite()) {
-                return Err(at(
-                    line,
-                    format!(
-                        "degrade factor {} must be in (0, 1) — a total failure is a crash",
-                        d.factor
-                    ),
-                ));
-            }
-            if let Some(r) = d.recover_at {
-                if !r.is_finite() || r < 0.0 {
-                    return Err(at(line, format!("recover_at time {r} invalid")));
-                }
-                if r <= d.time {
-                    return Err(at(
-                        line,
-                        format!("recover_at {r} is not after onset {}", d.time),
-                    ));
-                }
-            }
-        }
-        if let Some(f) = &plan.flaky {
-            if !(0.0..=1.0).contains(&f.probability) || !f.probability.is_finite() {
-                return Err(at(
-                    flaky_line,
-                    format!("flaky probability {} must be in [0, 1]", f.probability),
-                ));
-            }
-        }
-        Ok(plan)
+        Ok((plan, lines))
     }
 
     /// Validates the plan against a cluster of `num_disks` disks.
@@ -448,68 +254,87 @@ impl FaultPlan {
     /// crashed, repeat crashes of one disk, or a flaky probability outside
     /// `[0, 1]`.
     pub fn validate(&self, num_disks: usize) -> Result<(), FaultPlanError> {
-        let check_disk = |what: &str, d: NodeId| {
-            if d.index() >= num_disks {
-                return Err(FaultPlanError::Invalid(format!(
-                    "{what} disk {d} out of range (cluster has {num_disks} disks)"
-                )));
-            }
-            Ok(())
+        self.check(num_disks, None)
+    }
+
+    /// The one semantic checker behind [`FaultPlan::validate`] (no lines:
+    /// errors are [`FaultPlanError::Invalid`]) and
+    /// [`FaultPlan::parse_checked`] (the tables' header lines: errors are
+    /// [`FaultPlanError::Parse`] on the offending table).
+    fn check(&self, num_disks: usize, lines: Option<&TableLines>) -> Result<(), FaultPlanError> {
+        let fail = |line: Option<usize>, message: String| {
+            Err(match line {
+                Some(line) => FaultPlanError::Parse { line, message },
+                None => FaultPlanError::Invalid(message),
+            })
         };
-        let check_time = |what: &str, t: f64| {
-            if !t.is_finite() || t < 0.0 {
-                return Err(FaultPlanError::Invalid(format!("{what} time {t} invalid")));
-            }
-            Ok(())
+        let out_of_range = |what: &str, d: NodeId| {
+            format!("{what} disk {d} out of range (cluster has {num_disks} disks)")
         };
+        let bad_time = |t: f64| !t.is_finite() || t < 0.0;
         let mut crashed = vec![false; num_disks];
-        for c in &self.crashes {
-            check_disk("crash", c.disk)?;
-            check_time("crash", c.time)?;
+        for (i, c) in self.crashes.iter().enumerate() {
+            let line = lines.map(|l| l.crashes[i]);
+            if c.disk.index() >= num_disks {
+                return fail(line, out_of_range("crash", c.disk));
+            }
+            if bad_time(c.time) {
+                return fail(line, format!("crash time {} invalid", c.time));
+            }
             if crashed[c.disk.index()] {
-                return Err(FaultPlanError::Invalid(format!(
-                    "disk {} crashes twice",
-                    c.disk
-                )));
+                return fail(line, format!("disk {} crashes twice", c.disk));
             }
             crashed[c.disk.index()] = true;
         }
-        for c in &self.crashes {
+        for (i, c) in self.crashes.iter().enumerate() {
+            let line = lines.map(|l| l.crashes[i]);
             if let Some(r) = c.replacement {
-                check_disk("replacement", r)?;
+                if r.index() >= num_disks {
+                    return fail(line, out_of_range("replacement", r));
+                }
                 if crashed[r.index()] {
-                    return Err(FaultPlanError::Invalid(format!(
-                        "replacement {r} for disk {} is itself crashed",
-                        c.disk
-                    )));
+                    return fail(
+                        line,
+                        format!("replacement {r} for disk {} is itself crashed", c.disk),
+                    );
                 }
             }
         }
-        for d in &self.degradations {
-            check_disk("degrade", d.disk)?;
-            check_time("degrade", d.time)?;
+        for (i, d) in self.degradations.iter().enumerate() {
+            let line = lines.map(|l| l.degradations[i]);
+            if d.disk.index() >= num_disks {
+                return fail(line, out_of_range("degrade", d.disk));
+            }
+            if bad_time(d.time) {
+                return fail(line, format!("degrade time {} invalid", d.time));
+            }
             if !(d.factor > 0.0 && d.factor < 1.0 && d.factor.is_finite()) {
-                return Err(FaultPlanError::Invalid(format!(
-                    "degrade factor {} must be in (0, 1) — a total failure is a crash",
-                    d.factor
-                )));
+                return fail(
+                    line,
+                    format!(
+                        "degrade factor {} must be in (0, 1) — a total failure is a crash",
+                        d.factor
+                    ),
+                );
             }
             if let Some(r) = d.recover_at {
-                check_time("recover_at", r)?;
+                if bad_time(r) {
+                    return fail(line, format!("recover_at time {r} invalid"));
+                }
                 if r <= d.time {
-                    return Err(FaultPlanError::Invalid(format!(
-                        "recover_at {r} is not after onset {}",
-                        d.time
-                    )));
+                    return fail(
+                        line,
+                        format!("recover_at {r} is not after onset {}", d.time),
+                    );
                 }
             }
         }
         if let Some(f) = &self.flaky {
             if !(0.0..=1.0).contains(&f.probability) || !f.probability.is_finite() {
-                return Err(FaultPlanError::Invalid(format!(
-                    "flaky probability {} must be in [0, 1]",
-                    f.probability
-                )));
+                return fail(
+                    lines.map(|l| l.flaky),
+                    format!("flaky probability {} must be in [0, 1]", f.probability),
+                );
             }
         }
         Ok(())
@@ -617,7 +442,7 @@ probability = 0.05
 
     #[test]
     fn parses_the_sample_plan() {
-        let plan = FaultPlan::parse(SAMPLE).unwrap();
+        let plan = FaultPlan::parse_checked(SAMPLE, 6).unwrap();
         assert_eq!(plan.seed, 7);
         assert_eq!(plan.crashes.len(), 2);
         assert_eq!(plan.crashes[0].replacement, Some(NodeId::new(5)));
@@ -630,21 +455,39 @@ probability = 0.05
 
     #[test]
     fn parse_errors_carry_line_numbers() {
-        for (text, needle) in [
-            ("[[explode]]\n", "unknown table"),
-            ("[mystery]\n", "unknown table"),
-            ("seed = many\n", "expected an integer"),
-            ("[[crash]]\ndisk = x\n", "disk index"),
-            ("[[crash]]\nwhat = 1\n", "unknown key"),
-            ("gibberish\n", "key = value"),
+        for (text, line, needle) in [
+            ("[[explode]]\n", 1, "unknown table `[[explode]]`"),
+            ("\n[mystery]\n", 2, "unknown table `[mystery]`"),
+            ("[[flaky]]\n", 1, "unknown table `[[flaky]]`"),
+            ("seed = many\n", 1, "seed: expected an integer"),
+            ("[[crash]]\ndisk = x\n", 2, "disk: expected a disk index"),
+            ("[[degrade]]\ntime = soon\n", 2, "time: expected a number"),
+            (
+                "[[crash]]\nwhat = 1\n",
+                2,
+                "unknown key `what` in this table",
+            ),
+            ("seed = 1\ngibberish\n", 2, "key = value"),
+            // Missing required keys name the header of their table.
+            (
+                "seed = 1\n\n[[crash]]\ntime = 1\n",
+                3,
+                "[[crash]] needs `disk`",
+            ),
+            (
+                "[[degrade]]\ndisk = 0\ntime = 1\n",
+                1,
+                "[[degrade]] needs `factor`",
+            ),
+            ("[flaky]\n", 1, "[flaky] needs `probability`"),
         ] {
-            let err = FaultPlan::parse(text).unwrap_err();
-            assert!(matches!(err, FaultPlanError::Parse { .. }), "{text}: {err}");
-            assert!(err.to_string().contains(needle), "{text}: {err}");
+            let err = FaultPlan::parse_checked(text, 4).unwrap_err();
+            let FaultPlanError::Parse { line: l, message } = &err else {
+                panic!("{text}: expected a line-numbered error, got {err}");
+            };
+            assert_eq!(*l, line, "{text}: {err}");
+            assert!(message.contains(needle), "{text}: {err}");
         }
-        // Missing required keys are caught at flush.
-        let err = FaultPlan::parse("[[crash]]\ntime = 1\n").unwrap_err();
-        assert!(err.to_string().contains("needs `disk`"), "{err}");
     }
 
     #[test]
@@ -713,6 +556,7 @@ probability = 0.05
         ];
         for (plan, needle) in cases {
             let err = plan.validate(4).unwrap_err();
+            assert!(matches!(err, FaultPlanError::Invalid(_)), "{err}");
             assert!(err.to_string().contains(needle), "{err}");
         }
     }
@@ -720,7 +564,7 @@ probability = 0.05
     #[test]
     fn parse_checked_attributes_semantic_errors_to_lines() {
         // disk 9 is out of range for a 6-disk cluster; the error points
-        // at the [[crash]] header that declared it (line 5).
+        // at the [[crash]] header that declared it (line 8).
         let text = "\
 seed = 1
 
@@ -773,30 +617,29 @@ time = 2.0
     }
 
     #[test]
-    fn parse_checked_agrees_with_parse_plus_validate() {
-        let bad_semantics = "[[crash]]\ndisk = 99\ntime = 1.0\n";
-        for (text, disks) in [
-            (SAMPLE, 6),
-            (SAMPLE, 4), // replacement 5 out of range
-            ("seed = 3\n", 1),
-            (bad_semantics, 4),
-            (
-                "[[degrade]]\ndisk = 0\ntime = 3.0\nfactor = 0.5\nrecover_at = 2.0\n",
-                4,
-            ),
-        ] {
-            let checked = FaultPlan::parse_checked(text, disks);
-            let two_step = FaultPlan::parse(text).and_then(|p| p.validate(disks).map(|()| p));
-            assert_eq!(checked.is_ok(), two_step.is_ok(), "{text} on {disks} disks");
-            if let (Ok(a), Ok(b)) = (&checked, &two_step) {
-                assert_eq!(a, b);
-            }
-        }
+    fn validate_and_parse_checked_share_one_checker() {
+        // The same violation reads as `Invalid` without lines and as a
+        // line-numbered `Parse` error from the checked parse.
+        let text = "[[degrade]]\ndisk = 0\ntime = 3.0\nfactor = 0.5\nrecover_at = 2.0\n";
+        let checked = FaultPlan::parse_checked(text, 4).unwrap_err();
+        let plan = FaultPlan {
+            degradations: vec![DegradeFault {
+                disk: NodeId::new(0),
+                time: 3.0,
+                factor: 0.5,
+                recover_at: Some(2.0),
+            }],
+            ..FaultPlan::default()
+        };
+        let FaultPlanError::Invalid(message) = plan.validate(4).unwrap_err() else {
+            panic!("validate must not invent a line");
+        };
+        assert_eq!(checked, FaultPlanError::Parse { line: 1, message });
     }
 
     #[test]
     fn timeline_is_canonically_ordered() {
-        let plan = FaultPlan::parse(SAMPLE).unwrap();
+        let plan = FaultPlan::parse_checked(SAMPLE, 6).unwrap();
         let tl = plan.timeline();
         let times: Vec<f64> = tl.iter().map(|e| e.time).collect();
         assert_eq!(times, vec![2.0, 4.0, 6.0, 9.0]);
@@ -850,6 +693,6 @@ time = 2.0
             ..FaultPlan::default()
         }
         .is_empty());
-        assert!(!FaultPlan::parse(SAMPLE).unwrap().is_empty());
+        assert!(!FaultPlan::parse_checked(SAMPLE, 6).unwrap().is_empty());
     }
 }

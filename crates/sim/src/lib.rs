@@ -12,7 +12,7 @@
 //! rounds × 2 time units (each disk halving its bandwidth across two
 //! transfers) — a 1.5× wall-clock win.
 //!
-//! Two execution engines:
+//! Three execution engines:
 //!
 //! * [`engine::simulate_rounds`] — barrier semantics: a round ends when its
 //!   slowest transfer ends; every transfer runs at the fair-share rate set
@@ -21,15 +21,13 @@
 //!   transfer finishes, the bandwidth it released is immediately
 //!   redistributed among the transfers still running in that round
 //!   (progressive filling). Rounds remain barriers.
-//! * [`events::simulate_with_events`] — failure injection: disk bandwidths
-//!   change at specified times (degradation under live traffic, total
-//!   failure at bandwidth 0, recovery), and the report shows how the
-//!   makespan stretches.
 //! * [`executor::execute`] — closed-loop execution: a seeded
-//!   [`faults::FaultPlan`] injects crash-stops, degradations, and flaky
-//!   transfers; the executor retries with bounded exponential backoff and
-//!   replans the residual migration via [`dmig_core::replan`] when disks
-//!   die, degrade, or rounds stall.
+//!   [`faults::FaultPlan`] injects crash-stops, degradations (bandwidth
+//!   changes at given times, under live traffic), and flaky transfers;
+//!   the executor retries with bounded exponential backoff and replans
+//!   the residual migration via [`dmig_core::replan`] when disks die,
+//!   degrade, or rounds stall. With an empty plan it reproduces
+//!   `simulate_adaptive` bit for bit.
 //!
 //! ```
 //! use dmig_core::{MigrationProblem, solver::{Solver, HomogeneousSolver, EvenOptimalSolver}};
@@ -51,7 +49,6 @@
 
 pub mod cluster;
 pub mod engine;
-pub mod events;
 pub mod executor;
 pub mod faults;
 pub mod progress;

@@ -1,10 +1,9 @@
 //! Closed-form scenario tests for the simulation engines.
 
-use dmig_core::solver::{AutoSolver, HomogeneousSolver, Solver};
+use dmig_core::solver::{AutoSolver, Solver};
 use dmig_core::{Capacities, MigrationProblem, MigrationSchedule};
 use dmig_graph::builder::{complete_multigraph, star_multigraph};
 use dmig_graph::GraphBuilder;
-use dmig_sim::events::{simulate_with_events, BandwidthEvent};
 use dmig_sim::{
     engine::{simulate_adaptive, simulate_rounds},
     Cluster,
@@ -57,49 +56,6 @@ fn min_rate_semantics() {
     // then rises to 2.0, but the bottleneck 0.25 stays → still 4.0.
     let a = simulate_adaptive(&p, &s, &cluster).unwrap();
     assert!((a.total_time - 4.0).abs() < 1e-9);
-}
-
-/// Stacked slowdown events: rates integrate piecewise.
-#[test]
-fn stacked_events_integrate() {
-    let g = GraphBuilder::new().edge(0, 1).build();
-    let p = MigrationProblem::uniform(g, 1).unwrap();
-    let s = HomogeneousSolver.solve(&p).unwrap();
-    let cluster = Cluster::uniform(2, 1.0);
-    // Rate = min of both endpoint shares; disk 1 stays at 1.0 throughout.
-    // [0, 0.25]: rate 1 → 0.25 moved. [0.25, 0.75]: rate 0.5 → 0.25 moved.
-    // After the "recovery" to 4.0, disk 1 still caps the rate at 1.0 →
-    // the remaining 0.5 volume takes 0.5. Total = 1.25.
-    let events = [
-        BandwidthEvent {
-            time: 0.25,
-            disk: 0.into(),
-            bandwidth: 0.5,
-        },
-        BandwidthEvent {
-            time: 0.75,
-            disk: 0.into(),
-            bandwidth: 4.0,
-        },
-    ];
-    let r = simulate_with_events(&p, &s, &cluster, &events).unwrap();
-    assert!((r.total_time - 1.25).abs() < 1e-9, "got {}", r.total_time);
-}
-
-/// Events on disks not participating in the current round change nothing.
-#[test]
-fn irrelevant_events_are_harmless() {
-    let g = GraphBuilder::new().nodes(4).edge(0, 1).build();
-    let p = MigrationProblem::uniform(g, 1).unwrap();
-    let s = HomogeneousSolver.solve(&p).unwrap();
-    let cluster = Cluster::uniform(4, 1.0);
-    let events = [BandwidthEvent {
-        time: 0.5,
-        disk: 3.into(),
-        bandwidth: 0.01,
-    }];
-    let r = simulate_with_events(&p, &s, &cluster, &events).unwrap();
-    assert!((r.total_time - 1.0).abs() < 1e-9);
 }
 
 /// Busy time never exceeds total time, and utilization is within [0, 1].

@@ -11,7 +11,8 @@
 //! model plus one seed is one reproducible chaos scenario; sweeping the
 //! seed sweeps scenarios drawn from the same availability statistics.
 //!
-//! The model TOML uses the same line-oriented subset as fault plans:
+//! The model TOML uses the same line-oriented subset as fault plans, read
+//! by `dmig_obs::conf`:
 //!
 //! ```toml
 //! horizon = 10.0          # failures strike in [0, horizon)
@@ -47,6 +48,7 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
+use dmig_obs::conf::{self, ConfError, Entry, Table};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// How a failure domain fails.
@@ -123,87 +125,92 @@ impl std::error::Error for AvailabilityError {}
 /// so a tiny MTBF against a huge horizon cannot explode the plan.
 pub const MAX_EVENTS_PER_DISK: usize = 32;
 
-fn parse_err(line: usize, message: String) -> AvailabilityError {
-    AvailabilityError::Parse { line, message }
+impl From<ConfError> for AvailabilityError {
+    fn from(e: ConfError) -> Self {
+        AvailabilityError::Parse {
+            line: e.line,
+            message: e.message,
+        }
+    }
 }
 
 /// Parses `"0-3,7"`-style disk lists: comma-separated indices and
 /// inclusive ranges. Returns a sorted, deduplicated list.
-fn parse_disk_list(line: usize, raw: &str) -> Result<Vec<usize>, AvailabilityError> {
-    let raw = raw.trim().trim_matches('"');
+fn parse_disk_list(e: &Entry) -> Result<Vec<usize>, ConfError> {
     let mut out = BTreeSet::new();
-    for part in raw.split(',') {
+    for part in e.loose().split(',') {
         let part = part.trim();
         if part.is_empty() {
             continue;
         }
         if let Some((a, b)) = part.split_once('-') {
-            let lo: usize = a.trim().parse().map_err(|_| {
-                parse_err(line, format!("disks: bad range start `{a}` in `{part}`"))
-            })?;
+            let lo: usize = a
+                .trim()
+                .parse()
+                .map_err(|_| e.error(format!("disks: bad range start `{a}` in `{part}`")))?;
             let hi: usize = b
                 .trim()
                 .parse()
-                .map_err(|_| parse_err(line, format!("disks: bad range end `{b}` in `{part}`")))?;
+                .map_err(|_| e.error(format!("disks: bad range end `{b}` in `{part}`")))?;
             if hi < lo {
-                return Err(parse_err(line, format!("disks: empty range `{part}`")));
+                return Err(e.error(format!("disks: empty range `{part}`")));
             }
             out.extend(lo..=hi);
         } else {
             out.insert(
-                part.parse().map_err(|_| {
-                    parse_err(line, format!("disks: expected an index, got `{part}`"))
-                })?,
+                part.parse()
+                    .map_err(|_| e.error(format!("disks: expected an index, got `{part}`")))?,
             );
         }
     }
     if out.is_empty() {
-        return Err(parse_err(line, "disks: the list is empty".into()));
+        return Err(e.error("disks: the list is empty"));
     }
     Ok(out.into_iter().collect())
 }
 
-fn parse_number(line: usize, key: &str, raw: &str) -> Result<f64, AvailabilityError> {
-    raw.parse::<f64>()
-        .map_err(|_| parse_err(line, format!("{key}: expected a number, got `{raw}`")))
+fn unknown_key(e: &Entry) -> ConfError {
+    e.error(format!("unknown key `{}` in this table", e.key))
 }
 
-/// The section the parser is currently filling.
-enum Section {
-    Top,
-    Domain,
-    Spares,
-    Flaky,
-}
-
-/// A [`Domain`] under construction.
-#[derive(Default)]
-struct PartialDomain {
-    name: Option<String>,
-    disks: Option<Vec<usize>>,
-    mode: Option<FailureMode>,
-    mtbf: Option<f64>,
-    mttr: Option<f64>,
-    factor: Option<f64>,
-    correlated: Option<bool>,
-}
-
-impl PartialDomain {
-    fn build(self) -> Result<Domain, AvailabilityError> {
-        let need = |what: &str| AvailabilityError::Invalid(format!("[[domain]] needs `{what}`"));
-        let mode = self.mode.ok_or_else(|| need("mode"))?;
-        Ok(Domain {
-            name: self.name.ok_or_else(|| need("name"))?,
-            disks: self.disks.ok_or_else(|| need("disks"))?,
-            mode,
-            mtbf: self.mtbf.ok_or_else(|| need("mtbf"))?,
-            // Repair statistics and degradation depth only matter for
-            // degrade domains; crashes are forever.
-            mttr: self.mttr.unwrap_or(1.0),
-            factor: self.factor.unwrap_or(0.5),
-            correlated: self.correlated.unwrap_or(false),
-        })
+fn read_domain(t: &Table) -> Result<Domain, ConfError> {
+    let (mut name, mut disks, mut mode, mut mtbf) = (None, None, None, None);
+    let (mut mttr, mut factor, mut correlated) = (None, None, None);
+    for e in &t.entries {
+        match e.key.as_str() {
+            "name" => name = Some(e.loose().to_string()),
+            "disks" => disks = Some(parse_disk_list(e)?),
+            "mode" => {
+                mode = Some(match e.loose() {
+                    "degrade" => FailureMode::Degrade,
+                    "crash" => FailureMode::Crash,
+                    other => {
+                        return Err(e.error(format!(
+                            "mode: expected `degrade` or `crash`, got `{other}`"
+                        )))
+                    }
+                });
+            }
+            "mtbf" => mtbf = Some(e.number()?),
+            "mttr" => mttr = Some(e.number()?),
+            "factor" => factor = Some(e.number()?),
+            "correlated" => correlated = Some(e.boolean()?),
+            other => return Err(e.error(format!("unknown key `{other}` in [[domain]]"))),
+        }
     }
+    let need = |what: &str| t.error(format!("[[domain]] needs `{what}`"));
+    let mode = mode.ok_or_else(|| need("mode"))?;
+    Ok(Domain {
+        name: name.ok_or_else(|| need("name"))?,
+        disks: disks.ok_or_else(|| need("disks"))?,
+        mode,
+        mtbf: mtbf.ok_or_else(|| need("mtbf"))?,
+        // Repair statistics and degradation depth only matter for
+        // degrade domains; crashes are forever.
+        mttr: mttr.unwrap_or(1.0),
+        factor: factor.unwrap_or(0.5),
+        correlated: correlated.unwrap_or(false),
+    })
 }
 
 impl AvailabilityModel {
@@ -211,115 +218,33 @@ impl AvailabilityModel {
     ///
     /// # Errors
     ///
-    /// [`AvailabilityError::Parse`] with a line number on malformed
-    /// input; [`AvailabilityError::Invalid`] when a table misses a
-    /// required key.
+    /// [`AvailabilityError::Parse`] with a line number on malformed input
+    /// or a `[[domain]]` that misses a required key (the line of its
+    /// header).
     pub fn parse(text: &str) -> Result<AvailabilityModel, AvailabilityError> {
+        let doc = conf::read(text)?;
         let mut model = AvailabilityModel::default();
-        let mut section = Section::Top;
-        let mut current: Option<PartialDomain> = None;
-        let flush = |current: &mut Option<PartialDomain>,
-                     model: &mut AvailabilityModel|
-         -> Result<(), AvailabilityError> {
-            if let Some(d) = current.take() {
-                model.domains.push(d.build()?);
-            }
-            Ok(())
-        };
-        for (i, raw) in text.lines().enumerate() {
-            let lineno = i + 1;
-            let line = raw.split('#').next().unwrap_or_default().trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(header) = line.strip_prefix("[[").and_then(|s| s.strip_suffix("]]")) {
-                flush(&mut current, &mut model)?;
-                match header.trim() {
-                    "domain" => {
-                        section = Section::Domain;
-                        current = Some(PartialDomain::default());
-                    }
-                    other => return Err(parse_err(lineno, format!("unknown table `[[{other}]]`"))),
-                }
-                continue;
-            }
-            if let Some(header) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-                flush(&mut current, &mut model)?;
-                section = match header.trim() {
-                    "spares" => Section::Spares,
-                    "flaky" => Section::Flaky,
-                    other => return Err(parse_err(lineno, format!("unknown table `[{other}]`"))),
-                };
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(parse_err(
-                    lineno,
-                    format!("expected `key = value`, got `{line}`"),
-                ));
-            };
-            let (key, value) = (key.trim(), value.trim());
-            match (&section, key) {
-                (Section::Top, "horizon") => {
-                    model.horizon = parse_number(lineno, key, value)?;
-                }
-                (Section::Domain, _) => {
-                    let d = current.as_mut().expect("domain section has a partial");
-                    match key {
-                        "name" => d.name = Some(value.trim_matches('"').to_string()),
-                        "disks" => d.disks = Some(parse_disk_list(lineno, value)?),
-                        "mode" => {
-                            d.mode = Some(match value.trim_matches('"') {
-                                "degrade" => FailureMode::Degrade,
-                                "crash" => FailureMode::Crash,
-                                other => {
-                                    return Err(parse_err(
-                                        lineno,
-                                        format!(
-                                            "mode: expected `degrade` or `crash`, got `{other}`"
-                                        ),
-                                    ))
-                                }
-                            });
-                        }
-                        "mtbf" => d.mtbf = Some(parse_number(lineno, key, value)?),
-                        "mttr" => d.mttr = Some(parse_number(lineno, key, value)?),
-                        "factor" => d.factor = Some(parse_number(lineno, key, value)?),
-                        "correlated" => {
-                            d.correlated = Some(match value {
-                                "true" => true,
-                                "false" => false,
-                                other => {
-                                    return Err(parse_err(
-                                        lineno,
-                                        format!("correlated: expected true/false, got `{other}`"),
-                                    ))
-                                }
-                            });
-                        }
-                        other => {
-                            return Err(parse_err(
-                                lineno,
-                                format!("unknown key `{other}` in [[domain]]"),
-                            ))
-                        }
-                    }
-                }
-                (Section::Spares, "disks") => {
-                    model.spares = parse_disk_list(lineno, value)?;
-                }
-                (Section::Flaky, "probability") => {
-                    model.flaky = Some(parse_number(lineno, key, value)?);
-                }
-                _ => {
-                    return Err(parse_err(
-                        lineno,
-                        format!("unknown key `{key}` in this table"),
-                    ));
-                }
+        for e in &doc.top.entries {
+            match e.key.as_str() {
+                "horizon" => model.horizon = e.number()?,
+                _ => return Err(unknown_key(e).into()),
             }
         }
-        flush(&mut current, &mut model)?;
+        for t in &doc.tables {
+            match (t.array, t.name.as_str()) {
+                (true, "domain") => model.domains.push(read_domain(t)?),
+                (false, "spares" | "flaky") => {
+                    for e in &t.entries {
+                        match (t.name.as_str(), e.key.as_str()) {
+                            ("spares", "disks") => model.spares = parse_disk_list(e)?,
+                            ("flaky", "probability") => model.flaky = Some(e.number()?),
+                            _ => return Err(unknown_key(e).into()),
+                        }
+                    }
+                }
+                _ => return Err(t.error(format!("unknown table `{}`", t.header())).into()),
+            }
+        }
         Ok(model)
     }
 
@@ -526,36 +451,56 @@ probability = 0.02
 
     #[test]
     fn disk_lists_support_ranges_and_commas() {
-        assert_eq!(
-            parse_disk_list(1, "\"0-3,7\"").unwrap(),
-            vec![0, 1, 2, 3, 7]
-        );
-        assert_eq!(parse_disk_list(1, "5").unwrap(), vec![5]);
-        assert_eq!(parse_disk_list(1, "3,1,3").unwrap(), vec![1, 3]);
-        assert!(parse_disk_list(1, "3-1").is_err());
-        assert!(parse_disk_list(1, "x").is_err());
-        assert!(parse_disk_list(1, "\"\"").is_err());
+        let list = |value: &str| {
+            parse_disk_list(&Entry {
+                key: "disks".into(),
+                value: value.into(),
+                line: 1,
+            })
+        };
+        assert_eq!(list("\"0-3,7\"").unwrap(), vec![0, 1, 2, 3, 7]);
+        assert_eq!(list("5").unwrap(), vec![5]);
+        assert_eq!(list("3,1,3").unwrap(), vec![1, 3]);
+        assert!(list("3-1").is_err());
+        assert!(list("x").is_err());
+        assert!(list("\"\"").is_err());
     }
 
     #[test]
     fn parse_errors_carry_line_numbers() {
-        for (text, needle) in [
-            ("[[rack]]\n", "unknown table"),
-            ("[mystery]\n", "unknown table"),
-            ("horizon = soon\n", "expected a number"),
-            ("[[domain]]\nmode = \"explode\"\n", "degrade` or `crash"),
-            ("[[domain]]\ncorrelated = maybe\n", "true/false"),
-            ("gibberish\n", "key = value"),
+        for (text, line, needle) in [
+            ("[[rack]]\n", 1, "unknown table `[[rack]]`"),
+            ("\n[mystery]\n", 2, "unknown table `[mystery]`"),
+            ("horizon = soon\n", 1, "expected a number"),
+            ("[[domain]]\nmode = \"explode\"\n", 2, "degrade` or `crash"),
+            ("[[domain]]\ncorrelated = maybe\n", 2, "true/false"),
+            ("[[domain]]\ndisks = \"1-x\"\n", 2, "bad range end"),
+            ("[spares]\ncount = 2\n", 2, "unknown key `count`"),
+            ("horizon = 1\ngibberish\n", 2, "key = value"),
+            // A domain missing a required key names its header line.
+            (
+                "horizon = 1\n\n[[domain]]\nname = \"a\"\nmode = \"crash\"\ndisks = \"0\"\n",
+                3,
+                "[[domain]] needs `mtbf`",
+            ),
+            ("[[domain]]\nname = \"a\"\n", 1, "[[domain]] needs `mode`"),
         ] {
             let err = AvailabilityModel::parse(text).unwrap_err();
-            assert!(
-                matches!(err, AvailabilityError::Parse { .. }),
-                "{text}: {err}"
-            );
+            let AvailabilityError::Parse { line: l, .. } = &err else {
+                panic!("{text}: expected a line-numbered error, got {err}");
+            };
+            assert_eq!(*l, line, "{text}: {err}");
             assert!(err.to_string().contains(needle), "{text}: {err}");
         }
-        let err = AvailabilityModel::parse("[[domain]]\nname = \"a\"\n").unwrap_err();
-        assert!(err.to_string().contains("needs"), "{err}");
+    }
+
+    #[test]
+    fn hash_inside_a_quoted_name_is_kept() {
+        let m = AvailabilityModel::parse(
+            "horizon = 1\n[[domain]]\nname = \"rack#1\" # comment\ndisks = \"0\"\nmode = \"crash\"\nmtbf = 2\n",
+        )
+        .unwrap();
+        assert_eq!(m.domains[0].name, "rack#1");
     }
 
     #[test]

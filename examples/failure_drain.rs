@@ -57,13 +57,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Act two: halfway through the fault-free drain the slow survivor
     // crash-stops. Its pending items are redirected to survivor 3, and a
     // 5% flaky-transfer rate exercises the retry/backoff path.
-    let faults = FaultPlan::parse(&format!(
-        "seed = 99\n\n\
-         [[crash]]\ndisk = 2\ntime = {:.3}\nreplacement = 3\n\n\
-         [flaky]\nprobability = 0.05\n",
-        fast.total_time / 2.0
-    ))?;
-    faults.validate(problem.num_disks())?;
+    let faults = FaultPlan::parse_checked(
+        &format!(
+            "seed = 99\n\n\
+             [[crash]]\ndisk = 2\ntime = {:.3}\nreplacement = 3\n\n\
+             [flaky]\nprobability = 0.05\n",
+            fast.total_time / 2.0
+        ),
+        problem.num_disks(),
+    )?;
     let config = ExecutorConfig {
         replan: true,
         retry_max: 4,

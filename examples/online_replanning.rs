@@ -52,8 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         schedule.makespan()
     );
 
-    let faults = FaultPlan::parse(FAULTS)?;
-    faults.validate(problem.num_disks())?;
+    let faults = FaultPlan::parse_checked(FAULTS, problem.num_disks())?;
     let cluster = Cluster::uniform(DISKS + 1, 1.0);
 
     // Without replanning the crash strands every item still routed
