@@ -4,8 +4,10 @@
 //! series on a single giant component, the chunked Euler orientation
 //! against the serial walk on a 1e6-edge even multigraph, and the sharded
 //! solve pipeline (graph-cut cells + boundary reconciliation) against the
-//! unsharded solve on a clustered giant, and bipartite drain solves (8k and
-//! 80k items) with their min/median/max spread.
+//! unsharded solve on a clustered giant, bipartite drain solves (8k and
+//! 80k items) with their min/median/max spread, and the §V general solver
+//! on a mixed-parity instance (components, split + solve, solve alone and
+//! the move counters).
 //!
 //! Run with `cargo run --release -p dmig-bench --bin perf_report`.
 //! Pass `--smoke` to shrink the instance sizes for a CI sanity run (the
@@ -52,11 +54,13 @@ use dmig_bench::corpus::{
 use dmig_bench::seed_baseline::solve_even_seed;
 use dmig_core::bipartite_opt::solve_bipartite;
 use dmig_core::even::solve_even;
+use dmig_core::general::solve_general;
 use dmig_core::parallel::{default_threads, solve_split};
 use dmig_core::shard::{solve_sharded, ShardConfig};
 use dmig_core::solver::Solver as _;
 use dmig_core::MigrationProblem;
 use dmig_flow::{quota_euler_splits, quota_flow_solves};
+use dmig_graph::components::connected_components;
 use dmig_graph::euler::{euler_orientation, euler_orientation_parallel, OrientScratch};
 use dmig_workloads::{capacities, random};
 
@@ -733,6 +737,58 @@ fn main() {
             problem.delta_prime()
         );
     }
+    let _ = writeln!(json, "  }},");
+
+    // Part 6: the §V general solver on the mixed-parity shape of the
+    // end-to-end benchmark's mixed_faults workload, `dmig generate uniform
+    // 12500 125000 2 5 --seed 7` (300 disks, 3000 items under --smoke), on
+    // one thread: the component labelling, the whole `solve_split` +
+    // `solve_general` pipeline and `solve_general` alone, each as
+    // min/median/max over at least 5 reps, plus the solver's move counters
+    // (the values it adds to the `general.*` counters).
+    let (gen_nodes, gen_items) = if smoke {
+        (300, 3_000)
+    } else {
+        (12_500, 125_000)
+    };
+    let problem = MigrationProblem::new(
+        random::uniform_multigraph(gen_nodes, gen_items, 7),
+        capacities::mixed_parity(gen_nodes, 2, 5, 7),
+    )
+    .expect("mixed-parity instance is valid");
+    let general_reps = reps.max(5);
+    let components_ms = time_spread_ms(general_reps, || {
+        connected_components(problem.graph()).count() as u64
+    });
+    let split_solve_ms = time_spread_ms(general_reps, || {
+        solve_split(&problem, 1, |p| Ok(solve_general(p).schedule))
+            .expect("the general solver never fails")
+            .makespan() as u64
+    });
+    let solve_ms = time_spread_ms(general_reps, || {
+        solve_general(&problem).schedule.makespan() as u64
+    });
+    let report = solve_general(&problem);
+    let stats = report.stats;
+    let spread = |(min, median, max): (f64, f64, f64)| {
+        format!("{{\"min_ms\": {min:.3}, \"median_ms\": {median:.3}, \"max_ms\": {max:.3}}}")
+    };
+    let _ = writeln!(json, "  \"general_solve\": {{");
+    hardware_threads_line(&mut json, threads);
+    let _ = writeln!(json, "    \"nodes\": {gen_nodes},");
+    let _ = writeln!(json, "    \"items\": {gen_items},");
+    let _ = writeln!(json, "    \"delta_prime\": {},", problem.delta_prime());
+    let _ = writeln!(json, "    \"rounds\": {},", report.schedule.makespan());
+    let _ = writeln!(json, "    \"reps\": {general_reps},");
+    let _ = writeln!(json, "    \"components\": {},", spread(components_ms));
+    let _ = writeln!(json, "    \"solve_split\": {},", spread(split_solve_ms));
+    let _ = writeln!(json, "    \"solve_general\": {},", spread(solve_ms));
+    let _ = writeln!(
+        json,
+        "    \"counters\": {{\"direct\": {}, \"walk_flips\": {}, \"shifts\": {}, \
+         \"escalations\": {}, \"residue_colored\": {}}}",
+        stats.direct, stats.walk_flips, stats.shifts, stats.escalations, stats.residue_colored
+    );
     let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
 
@@ -754,7 +810,7 @@ fn main() {
     let config = format!(
         "perf_report smoke={smoke} sizes={sizes:?} components={components} \
          nodes_per={nodes_per} extra={extra} euler={go_nodes}x{go_edges} \
-         shard={sh_nodes}x{sh_edges}@{sh_budget} reps={reps}"
+         shard={sh_nodes}x{sh_edges}@{sh_budget} general={gen_nodes}x{gen_items} reps={reps}"
     );
     let meta = dmig_obs::history::RunMeta {
         git_rev: dmig_obs::history::detect_git_rev(),

@@ -1446,6 +1446,23 @@ mod tests {
     }
 
     #[test]
+    fn generated_instances_round_trip() {
+        for args in [
+            vec!["generate", "k3", "4", "3"],
+            vec!["generate", "uniform", "8", "30", "1", "4", "--seed", "7"],
+            vec!["generate", "clustered", "40", "400", "4", "--seed", "3"],
+            vec!["generate", "rebalance", "6", "40", "2"],
+            vec!["generate", "add", "6", "2", "30", "3"],
+            vec!["generate", "remove", "8", "2", "30", "3"],
+        ] {
+            let out = run_str(&args);
+            assert_eq!(out.code, 0, "{args:?}: {}", out.stdout);
+            let problem = instance::parse_instance(&out.stdout).unwrap();
+            assert_eq!(instance::to_instance_text(&problem), out.stdout, "{args:?}");
+        }
+    }
+
+    #[test]
     fn generate_clustered_validates_shape() {
         // Too few edges for the spanning paths plus the ring.
         let out = run_str(&["generate", "clustered", "40", "10", "4"]);

@@ -212,10 +212,17 @@ struct State<'a> {
     g: &'a Multigraph,
     caps: Vec<u32>,
     q: usize,
-    /// `count[v][c]`: edges of color `c` incident to `v`.
+    /// `count[v][c]`: edges of color `c` incident to `v` — the length of
+    /// color class `(v, c)`.
     count: Vec<Vec<u32>>,
-    /// `edges_at[v][c]`: those edges, for walk construction.
-    edges_at: Vec<Vec<Vec<EdgeId>>>,
+    /// Flat slot blocks holding every color class, for walk construction.
+    /// Color `c` owns the stripe `c * stride .. (c + 1) * stride`; within
+    /// it, disk `v` owns `block_start[v] .. block_start[v + 1]`, i.e.
+    /// `min(c_v, d_v) + 1` slots (see [`State::push`] for the bound).
+    /// The class's edges fill the block's first `count[v][c]` slots.
+    slots: Vec<EdgeId>,
+    block_start: Vec<usize>,
+    stride: usize,
     color_of: Vec<Option<u32>>,
     /// Walk membership stamps (versioned to avoid clearing).
     walk_stamp: Vec<u32>,
@@ -229,12 +236,21 @@ struct State<'a> {
 impl<'a> State<'a> {
     fn new(g: &'a Multigraph, caps: &Capacities, q: usize, config: &GeneralConfig) -> Self {
         let n = g.num_nodes();
+        let mut block_start = Vec::with_capacity(n + 1);
+        let mut stride = 0;
+        block_start.push(0);
+        for v in g.nodes() {
+            stride += (caps.get(v) as usize).min(g.degree(v)) + 1;
+            block_start.push(stride);
+        }
         State {
             g,
             caps: caps.as_slice().to_vec(),
             q,
             count: vec![vec![0; q]; n],
-            edges_at: vec![vec![Vec::new(); q]; n],
+            slots: vec![EdgeId::default(); q * stride],
+            block_start,
+            stride,
             color_of: vec![None; g.num_edges()],
             walk_stamp: vec![0; g.num_edges()],
             stamp: 0,
@@ -247,8 +263,8 @@ impl<'a> State<'a> {
         self.q += 1;
         for v in 0..self.g.num_nodes() {
             self.count[v].push(0);
-            self.edges_at[v].push(Vec::new());
         }
+        self.slots.resize(self.q * self.stride, EdgeId::default());
     }
 
     fn cap(&self, v: NodeId) -> u32 {
@@ -259,14 +275,61 @@ impl<'a> State<'a> {
         self.count[v.index()][c] < self.cap(v)
     }
 
+    /// First slot of class `(v, c)`.
+    fn base(&self, v: NodeId, c: usize) -> usize {
+        c * self.stride + self.block_start[v.index()]
+    }
+
+    /// The edges of color `c` at `v`, in the order a `Vec` fed the same
+    /// pushes and swap-removes would hold them.
+    fn class(&self, v: NodeId, c: usize) -> &[EdgeId] {
+        let base = self.base(v, c);
+        &self.slots[base..base + self.count[v.index()][c] as usize]
+    }
+
+    /// Appends `e` to class `(v, c)`. A class never outgrows its block:
+    /// between moves it holds at most `c_v` edges; a walk flip adds at
+    /// most one edge per color at the walk's start and one at its end, and
+    /// both were checked to have room beforehand, so only a walk that
+    /// starts and ends at `v` reaches `c_v + 1` (rolled back by
+    /// `attempt_flip`). Every edge of the class is incident to `v`, so it
+    /// also holds at most `d_v`.
+    fn push(&mut self, v: NodeId, c: usize, e: EdgeId) {
+        let len = self.count[v.index()][c] as usize;
+        debug_assert!(
+            self.block_start[v.index()] + len < self.block_start[v.index() + 1],
+            "class ({v}, {c}) outgrew its min(c_v, d_v) + 1 block"
+        );
+        let base = self.base(v, c);
+        self.slots[base + len] = e;
+        self.count[v.index()][c] += 1;
+    }
+
+    /// Removes `e` from class `(v, c)` by moving the class's last edge
+    /// into its slot (`Vec::swap_remove` order).
+    fn remove(&mut self, v: NodeId, c: usize, e: EdgeId) {
+        let base = self.base(v, c);
+        let last = self.count[v.index()][c] as usize - 1;
+        let pos = self.slots[base..=base + last]
+            .iter()
+            .position(|&x| x == e)
+            .expect("edge tracked at endpoint");
+        self.slots[base + pos] = self.slots[base + last];
+        self.count[v.index()][c] -= 1;
+    }
+
     fn assign(&mut self, e: EdgeId, c: usize) {
         debug_assert!(self.color_of[e.index()].is_none());
         let ep = self.g.endpoints(e);
         debug_assert!(self.is_missing(ep.u, c) && self.is_missing(ep.v, c));
-        self.count[ep.u.index()][c] += 1;
-        self.count[ep.v.index()][c] += 1;
-        self.edges_at[ep.u.index()][c].push(e);
-        self.edges_at[ep.v.index()][c].push(e);
+        self.place(e, c);
+    }
+
+    /// Colors `e` with `c` without checking room at its endpoints.
+    fn place(&mut self, e: EdgeId, c: usize) {
+        let ep = self.g.endpoints(e);
+        self.push(ep.u, c, e);
+        self.push(ep.v, c, e);
         self.color_of[e.index()] = Some(u32::try_from(c).expect("color id overflow"));
     }
 
@@ -275,16 +338,8 @@ impl<'a> State<'a> {
             .take()
             .expect("unassign of uncolored edge") as usize;
         let ep = self.g.endpoints(e);
-        self.count[ep.u.index()][c] -= 1;
-        self.count[ep.v.index()][c] -= 1;
-        for v in [ep.u, ep.v] {
-            let list = &mut self.edges_at[v.index()][c];
-            let pos = list
-                .iter()
-                .position(|&x| x == e)
-                .expect("edge tracked at endpoint");
-            list.swap_remove(pos);
-        }
+        self.remove(ep.u, c, e);
+        self.remove(ep.v, c, e);
         c
     }
 
@@ -413,7 +468,8 @@ impl<'a> State<'a> {
             if !self.spend(1) {
                 return Vec::new();
             }
-            let next = self.edges_at[cur.index()][want]
+            let next = self
+                .class(cur, want)
                 .iter()
                 .copied()
                 .find(|&f| self.walk_stamp[f.index()] != stamp);
@@ -451,12 +507,7 @@ impl<'a> State<'a> {
         for (f, new) in recolored {
             // Bypass assign()'s feasibility assert: transient overflow is
             // detected by walk_feasible and rolled back.
-            let ep = self.g.endpoints(f);
-            self.count[ep.u.index()][new] += 1;
-            self.count[ep.v.index()][new] += 1;
-            self.edges_at[ep.u.index()][new].push(f);
-            self.edges_at[ep.v.index()][new].push(f);
-            self.color_of[f.index()] = Some(u32::try_from(new).expect("color id overflow"));
+            self.place(f, new);
         }
     }
 
@@ -484,7 +535,8 @@ impl<'a> State<'a> {
                 .filter(|&c| self.is_missing(anchor, c) && !self.is_missing(far, c))
                 .collect();
             for c in candidates {
-                let evictable: Vec<EdgeId> = self.edges_at[far.index()][c]
+                let evictable: Vec<EdgeId> = self
+                    .class(far, c)
                     .iter()
                     .copied()
                     .filter(|f| *f != e && !in_progress.contains(f))

@@ -67,6 +67,18 @@ pub fn default_threads() -> usize {
 pub fn split_components(problem: &MigrationProblem) -> Vec<ComponentPart> {
     let g = problem.graph();
     let comps = connected_components(g);
+    // One component with an item that covers every disk: the one part is
+    // the problem itself, node and edge ids unchanged. An isolated disk is
+    // a component of its own, so a problem with one never takes this path;
+    // its split drops that disk, and since solvers read every disk's
+    // capacity (the auto dispatch decides parity over all of them) the
+    // part is not interchangeable with the problem.
+    if comps.count() == 1 && problem.num_items() > 0 {
+        return vec![ComponentPart {
+            problem: problem.clone(),
+            edge_map: (0..g.num_edges()).map(EdgeId::new).collect(),
+        }];
+    }
     let groups = comps.groups();
 
     // Dense local node ids per component, ascending original id (groups()
@@ -380,6 +392,32 @@ mod tests {
             .parallel_edges(6, 7, 6)
             .build();
         MigrationProblem::uniform(g, 2).unwrap()
+    }
+
+    #[test]
+    fn spanning_part_equals_the_rebuilt_copy() {
+        let p = MigrationProblem::uniform(complete_multigraph(4, 2), 3).unwrap();
+        let parts = split_components(&p);
+        assert_eq!(parts.len(), 1);
+        let all: Vec<EdgeId> = (0..p.num_items()).map(EdgeId::new).collect();
+        let rebuilt = extract_part(&p, &p.graph().nodes().collect::<Vec<_>>(), &all);
+        assert_eq!(parts[0].problem, rebuilt.problem);
+        assert_eq!(parts[0].edge_map, rebuilt.edge_map);
+
+        // An isolated disk is dropped from the one part, not copied.
+        let isolated = MigrationProblem::new(
+            GraphBuilder::new()
+                .nodes(4)
+                .edge(0, 1)
+                .edge(1, 2)
+                .edge(2, 0)
+                .build(),
+            Capacities::from_vec(vec![1, 1, 1, 2]),
+        )
+        .unwrap();
+        let parts = split_components(&isolated);
+        assert_eq!(parts.len(), 1);
+        assert_eq!(parts[0].problem.num_disks(), 3);
     }
 
     #[test]

@@ -50,7 +50,15 @@ impl Components {
     }
 }
 
-/// Computes the connected components of `g` via iterative DFS.
+/// Computes the connected components of `g` by union-find over the edge
+/// list.
+///
+/// Every union hangs the larger root under the smaller one, so each node's
+/// parent id is at most its own and every root is its component's smallest
+/// node. One ascending pass then turns parents into dense ids in place: a
+/// root opens the next id, any other node copies the (already final) id of
+/// its parent. That is the same labelling a DFS started from each unvisited
+/// node in ascending order gives.
 ///
 /// # Example
 ///
@@ -65,32 +73,30 @@ impl Components {
 /// ```
 #[must_use]
 pub fn connected_components(g: &Multigraph) -> Components {
-    let n = g.num_nodes();
-    let mut component_of = vec![usize::MAX; n];
+    let mut parent: Vec<usize> = (0..g.num_nodes()).collect();
+    let find = |parent: &mut [usize], mut x: usize| {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]]; // path halving keeps parent ≤ id
+            x = parent[x];
+        }
+        x
+    };
+    for ep in g.endpoints_slice() {
+        let ru = find(&mut parent, ep.u.index());
+        let rv = find(&mut parent, ep.v.index());
+        parent[ru.max(rv)] = ru.min(rv);
+    }
     let mut count = 0;
-    let mut stack = Vec::new();
-    // Walk a flat CSR snapshot so the DFS reads contiguous slots with the
-    // far endpoint precomputed, instead of one Vec plus an endpoint lookup
-    // per incidence.
-    let csr = g.to_csr();
-    for start in 0..n {
-        if component_of[start] != usize::MAX {
-            continue;
-        }
-        component_of[start] = count;
-        stack.push(NodeId::new(start));
-        while let Some(v) = stack.pop() {
-            for &(_, w) in csr.incident(v) {
-                if component_of[w.index()] == usize::MAX {
-                    component_of[w.index()] = count;
-                    stack.push(w);
-                }
-            }
-        }
-        count += 1;
+    for v in 0..parent.len() {
+        parent[v] = if parent[v] == v {
+            count += 1;
+            count - 1
+        } else {
+            parent[parent[v]]
+        };
     }
     Components {
-        component_of,
+        component_of: parent,
         count,
     }
 }
@@ -165,6 +171,58 @@ mod tests {
         assert_eq!(comps.component_of(2.into()), 0);
         assert_eq!(comps.component_of(1.into()), 1);
         assert_eq!(comps.component_of(4.into()), 3);
+    }
+
+    /// The DFS labelling `connected_components` used before union-find:
+    /// ids in order of each component's smallest node.
+    fn dfs_labels(g: &Multigraph) -> (Vec<usize>, usize) {
+        let mut label = vec![usize::MAX; g.num_nodes()];
+        let mut count = 0;
+        for start in g.nodes() {
+            if label[start.index()] != usize::MAX {
+                continue;
+            }
+            label[start.index()] = count;
+            let mut stack = vec![start];
+            while let Some(v) = stack.pop() {
+                for &e in g.incident_edges(v) {
+                    let w = g.endpoints(e).other(v);
+                    if label[w.index()] == usize::MAX {
+                        label[w.index()] = count;
+                        stack.push(w);
+                    }
+                }
+            }
+            count += 1;
+        }
+        (label, count)
+    }
+
+    #[test]
+    fn union_find_matches_dfs_labelling() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xC0C0);
+        let mut isolated_seen = 0;
+        for _ in 0..500 {
+            let n = rng.gen_range(1..40);
+            let mut g = Multigraph::with_nodes(n);
+            // Sparse enough that many graphs keep isolated disks; loops
+            // and parallel edges included.
+            for _ in 0..rng.gen_range(0..n + n / 2) {
+                g.add_edge(
+                    NodeId::new(rng.gen_range(0..n)),
+                    NodeId::new(rng.gen_range(0..n)),
+                );
+            }
+            isolated_seen += g.nodes().filter(|&v| g.degree(v) == 0).count();
+            let comps = connected_components(&g);
+            let (label, count) = dfs_labels(&g);
+            assert_eq!(comps.count(), count);
+            for v in g.nodes() {
+                assert_eq!(comps.component_of(v), label[v.index()], "node {v}");
+            }
+        }
+        assert!(isolated_seen > 0, "the corpus must include isolated disks");
     }
 
     #[test]

@@ -219,8 +219,8 @@ impl AvailabilityModel {
     /// # Errors
     ///
     /// [`AvailabilityError::Parse`] with a line number on malformed input
-    /// or a `[[domain]]` that misses a required key (the line of its
-    /// header).
+    /// or a `[[domain]]`, `[spares]` or `[flaky]` table that misses a
+    /// required key (the line of its header).
     pub fn parse(text: &str) -> Result<AvailabilityModel, AvailabilityError> {
         let doc = conf::read(text)?;
         let mut model = AvailabilityModel::default();
@@ -234,6 +234,16 @@ impl AvailabilityModel {
             match (t.array, t.name.as_str()) {
                 (true, "domain") => model.domains.push(read_domain(t)?),
                 (false, "spares" | "flaky") => {
+                    // Either table has exactly one key, and any other key
+                    // is rejected below, so an empty table is a missing key.
+                    if t.entries.is_empty() {
+                        let key = if t.name == "spares" {
+                            "disks"
+                        } else {
+                            "probability"
+                        };
+                        return Err(t.error(format!("{} needs `{key}`", t.header())).into());
+                    }
                     for e in &t.entries {
                         match (t.name.as_str(), e.key.as_str()) {
                             ("spares", "disks") => model.spares = parse_disk_list(e)?,
@@ -492,6 +502,26 @@ probability = 0.02
             assert_eq!(*l, line, "{text}: {err}");
             assert!(err.to_string().contains(needle), "{text}: {err}");
         }
+    }
+
+    /// Parses `text` and returns the line and message of its `Parse` error.
+    fn parse_error(text: &str) -> (usize, String) {
+        match AvailabilityModel::parse(text) {
+            Err(AvailabilityError::Parse { line, message }) => (line, message),
+            other => panic!("{text}: expected a line-numbered error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn flaky_table_needs_probability() {
+        let text = "horizon = 1\n\n[flaky]\n\n[spares]\ndisks = \"4\"\n";
+        assert_eq!(parse_error(text), (3, "[flaky] needs `probability`".into()));
+    }
+
+    #[test]
+    fn spares_table_needs_disks() {
+        let text = "horizon = 1\n[spares]\n# no pool yet\n[flaky]\nprobability = 0.1\n";
+        assert_eq!(parse_error(text), (2, "[spares] needs `disks`".into()));
     }
 
     #[test]
